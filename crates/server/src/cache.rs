@@ -218,27 +218,6 @@ impl ResultCache {
         }
     }
 
-    /// Validates that `key` is still resident *without cloning its value*,
-    /// refreshing its recency and counting a hit when it is. This is the
-    /// cheap revalidation probe behind connection-local copies of cached
-    /// results (the request memo / hot tier): the copy may only be replayed
-    /// as `"cached":true` while the entry actually lives in the cache, so
-    /// the hit counter, the recency order, and the responses stay
-    /// consistent. An absent key is *not* counted as a miss — the caller
-    /// falls through to a full [`ResultCache::get`] (or a compute), which
-    /// does the counting.
-    pub fn touch(&self, key: &str) -> bool {
-        let mut shard = self.shard_for(key).lock().expect("cache shard poisoned");
-        let Some(&idx) = shard.map.get(key) else {
-            return false;
-        };
-        shard.unlink(idx);
-        shard.push_front(idx);
-        drop(shard);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
     /// Stores `key -> value`, evicting the shard's least-recently-used entry
     /// if it is full.
     pub fn insert(&self, key: String, value: String) {
@@ -361,32 +340,6 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.evictions, 0);
-    }
-
-    #[test]
-    fn touch_refreshes_recency_and_counts_a_hit() {
-        let cache = ResultCache::new(64);
-        cache.insert("k".into(), "v".into());
-        assert!(cache.touch("k"));
-        assert!(!cache.touch("gone"), "absent keys are reported honestly");
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 1, "touch on a resident key counts a hit");
-        assert_eq!(stats.misses, 0, "a failed touch is not a miss");
-    }
-
-    #[test]
-    fn touch_protects_an_entry_from_eviction() {
-        // One shard of capacity 2: repeated touches of "a" must keep it the
-        // most recently used entry across later inserts.
-        let mut shard = Shard::new(2);
-        shard.insert("a".into(), "1".into());
-        shard.insert("b".into(), "2".into());
-        let &idx = shard.map.get("a").expect("resident");
-        shard.unlink(idx);
-        shard.push_front(idx);
-        shard.insert("c".into(), "3".into()); // evicts b, not a
-        assert!(shard.get("a").is_some());
-        assert_eq!(shard.get("b"), None);
     }
 
     #[test]

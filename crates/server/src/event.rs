@@ -4,19 +4,21 @@
 //! client connection, all registered with an `epoll` [`Poller`] (see the
 //! `sys` module) and driven by readiness instead of blocking reads. A
 //! connection costs one registry entry — ten thousand idle clients are ten
-//! thousand `Conn` structs, not ten thousand threads.
+//! thousand [`LineConn`]s, not ten thousand threads. The connections, the
+//! accept/refuse step and the deadline sweeps are the `conn` module's,
+//! shared with the `sealpaa route` gateway; this loop adds the daemon's
+//! dispatch.
 //!
 //! # Pipelining
 //!
-//! The poll thread never computes. Each complete request line is triaged by
-//! [`classify_line`]; anything needing analysis becomes a [`WorkerPool`]
+//! The poll thread never computes. Each framed request line is triaged by
+//! [`classify_event`]; anything needing analysis becomes a [`WorkerPool`]
 //! job that sends a [`Completion`] back over an mpsc channel and rouses the
 //! poll thread through the wakeup pipe. Because the reader does not wait
-//! for the answer, one connection may have many requests in flight
-//! (`MAX_PIPELINE` caps the depth; past it the connection's read interest
-//! is dropped until completions drain). Responses are written in
-//! *completion* order, tagged with the client-supplied `id` — pipelined
-//! clients must reassemble by `id`, not by position.
+//! for the answer, one connection may have many requests in flight (128 at
+//! most; past that its reads pause until completions drain). Responses are
+//! written in *completion* order, tagged with the client-supplied `id` —
+//! pipelined clients must reassemble by `id`, not by position.
 //!
 //! # Backpressure and deadlines
 //!
@@ -25,43 +27,32 @@
 //!
 //! * a full pool queue defers jobs to a retry queue instead of blocking the
 //!   poll thread (the poll timeout is capped while anything is deferred);
-//! * a peer that stops reading accumulates output in its `Conn` buffer;
-//!   past `MAX_CONN_OUT_BYTES` its *read* interest is dropped — the server
-//!   stops consuming requests from a client that won't take answers;
+//! * a peer that stops reading accumulates output in its connection buffer;
+//!   past 4 MiB its reads pause — the server stops consuming requests from
+//!   a client that won't take answers;
 //! * idle and write deadlines become poll-timeout arithmetic: the loop
 //!   sleeps until the nearest deadline and sweeps expired connections.
 //!
 //! [`WorkerPool`]: crate::pool::WorkerPool
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::collections::VecDeque;
+use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use crate::json::Json;
+use crate::conn::{timeout_ms, Clients, LineConn, LineEvent, TOKEN_LISTENER};
 use crate::pool::{Job, TrySubmit};
-use crate::protocol::{error_response, RequestBody};
+use crate::protocol::error_response;
 use crate::server::{
-    classify_line, compute_result, finish_batch, finish_compute, maybe_persist_snapshot,
-    persist_snapshot, run_batch_jobs, snapshot_due_in, trace_request, BatchPlan, LineAction,
-    LineMemo, Served, Server, ServerState,
+    classify_event, maybe_persist_snapshot, persist_snapshot, snapshot_due_in, trace_request,
+    LineAction, Served, Server, ServerState, Work, IDLE_TIMEOUT,
 };
-use crate::sys::{Poller, WakePipe, Waker, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use crate::sys::{Poller, WakePipe, Waker, EPOLLIN};
 
-/// Registration token for the listen socket.
-const TOKEN_LISTENER: u64 = u64::MAX;
 /// Registration token for the wakeup pipe's read end.
 const TOKEN_WAKE: u64 = u64::MAX - 1;
 
-/// In-flight request cap per connection: past it the connection's read
-/// interest is paused until completions drain.
-const MAX_PIPELINE: usize = 128;
-/// Pending-output cap per connection: past it the connection's read
-/// interest is paused until the peer drains its responses.
-const MAX_CONN_OUT_BYTES: usize = 4 << 20;
 /// Poll-timeout cap while jobs wait in the deferred queue, so freed pool
 /// slots are noticed even without a completion wakeup.
 const DEFERRED_RETRY_MS: u64 = 50;
@@ -71,74 +62,6 @@ struct Completion {
     conn: u64,
     bytes_in: usize,
     served: Served,
-}
-
-/// Per-connection state machine.
-struct Conn {
-    stream: TcpStream,
-    /// The current partial request line (kept only while within the limit).
-    line: Vec<u8>,
-    /// Observed bytes of the current line (excluding the newline), counted
-    /// even while overflowing.
-    line_len: usize,
-    /// The current line ran past `max_line_bytes`; its bytes are being
-    /// discarded as they stream in.
-    overflowed: bool,
-    /// Pending output not yet accepted by the socket.
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Requests handed to the pool whose responses have not been enqueued.
-    in_flight: usize,
-    last_activity: Instant,
-    /// When the peer last left us unable to make write progress.
-    stalled_since: Option<Instant>,
-    /// Currently registered epoll interest.
-    interest: u32,
-    /// The peer's write half is done (EOF) or we stopped reading it.
-    read_closed: bool,
-    /// Close once `in_flight == 0` and the output buffer drains.
-    closing: bool,
-    /// The connection's last cache-hit resolution, replayed for identical
-    /// follow-up lines (see [`LineMemo`]).
-    memo: LineMemo,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, now: Instant) -> Conn {
-        Conn {
-            stream,
-            line: Vec::new(),
-            line_len: 0,
-            overflowed: false,
-            out: Vec::new(),
-            out_pos: 0,
-            in_flight: 0,
-            last_activity: now,
-            stalled_since: None,
-            interest: EPOLLIN | EPOLLRDHUP,
-            read_closed: false,
-            closing: false,
-            memo: LineMemo::default(),
-        }
-    }
-
-    fn out_pending(&self) -> usize {
-        self.out.len() - self.out_pos
-    }
-
-    /// Subject to the idle deadline: readable, nothing in flight, nothing
-    /// pending.
-    fn idle_eligible(&self) -> bool {
-        !self.closing && !self.read_closed && self.in_flight == 0 && self.out_pending() == 0
-    }
-}
-
-/// One extracted input event from a connection's byte stream — the event
-/// loop's equivalent of the blocking `BoundedLine`.
-enum LineEvent {
-    Line(String),
-    TooLong { bytes: usize },
-    InvalidUtf8 { bytes: usize },
 }
 
 /// Serves `server` with the event loop until a `shutdown` request drains
@@ -160,18 +83,11 @@ struct EventLoop {
     waker: Waker,
     tx: mpsc::Sender<Completion>,
     rx: mpsc::Receiver<Completion>,
-    listener: TcpListener,
-    conns: HashMap<u64, Conn>,
-    next_token: u64,
+    clients: Clients,
     /// Jobs the pool queue had no room for, retried in order.
     deferred: VecDeque<Job>,
-    /// Sum of `out_pending()` over all connections (the gauge).
-    pending_out_total: usize,
-    max_connections: usize,
-    max_line_bytes: usize,
     idle_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
-    draining: bool,
     scratch: Vec<u8>,
 }
 
@@ -185,14 +101,18 @@ impl EventLoop {
             write_timeout,
             ..
         } = server;
-        listener.set_nonblocking(true)?;
         let poller = Poller::new()?;
+        let clients = Clients::new(
+            listener,
+            &poller,
+            max_connections,
+            state.max_line_bytes,
+            "server overloaded: connection limit reached, retry later",
+        )?;
         let wake = WakePipe::new()?;
-        poller.register(listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN)?;
         poller.register(wake.read_fd(), TOKEN_WAKE, EPOLLIN)?;
         let waker = wake.waker();
         let (tx, rx) = mpsc::channel();
-        let max_line_bytes = state.max_line_bytes;
         Ok(EventLoop {
             state,
             poller,
@@ -200,16 +120,10 @@ impl EventLoop {
             waker,
             tx,
             rx,
-            listener,
-            conns: HashMap::new(),
-            next_token: 0,
+            clients,
             deferred: VecDeque::new(),
-            pending_out_total: 0,
-            max_connections,
-            max_line_bytes,
             idle_timeout,
             write_timeout,
-            draining: false,
             scratch: vec![0u8; 64 * 1024],
         })
     }
@@ -221,14 +135,19 @@ impl EventLoop {
             self.poller.wait(&mut ready, timeout)?;
             for r in std::mem::take(&mut ready) {
                 match r.token {
-                    TOKEN_LISTENER => self.accept_all(),
+                    TOKEN_LISTENER => {
+                        let (admitted, refused) = self.clients.accept(&self.poller);
+                        let metrics = &self.state.metrics;
+                        (0..admitted).for_each(|_| metrics.connection_opened());
+                        (0..refused).for_each(|_| metrics.record_shed());
+                    }
                     TOKEN_WAKE => self.wake.drain(),
                     token => {
                         if r.readable() {
                             self.handle_readable(token);
                         }
-                        if r.writable() && self.conns.contains_key(&token) {
-                            self.try_write(token);
+                        if r.writable() {
+                            self.flush(token);
                         }
                     }
                 }
@@ -238,7 +157,7 @@ impl EventLoop {
             self.enforce_deadlines(Instant::now());
             self.publish_gauges();
             maybe_persist_snapshot(&self.state);
-            if self.draining && self.conns.is_empty() && self.deferred.is_empty() {
+            if self.clients.draining && self.clients.conns.is_empty() && self.deferred.is_empty() {
                 // Capture everything the drain computed before exiting, so
                 // the next start is warm.
                 persist_snapshot(&self.state);
@@ -249,244 +168,89 @@ impl EventLoop {
 
     /// Milliseconds until the nearest deadline, or `None` to wait forever.
     fn poll_timeout_ms(&self, now: Instant) -> Option<i32> {
-        let mut next: Option<Duration> = None;
-        let mut consider = |d: Duration| match next {
-            Some(n) if n <= d => {}
-            _ => next = Some(d),
-        };
-        if let Some(limit) = self.idle_timeout {
-            for conn in self.conns.values() {
-                if conn.idle_eligible() {
-                    consider(limit.saturating_sub(now.duration_since(conn.last_activity)));
-                }
-            }
-        }
-        if let Some(limit) = self.write_timeout {
-            for conn in self.conns.values() {
-                if let Some(since) = conn.stalled_since {
-                    consider(limit.saturating_sub(now.duration_since(since)));
-                }
-            }
-        }
-        if !self.deferred.is_empty() {
-            consider(Duration::from_millis(DEFERRED_RETRY_MS));
-        }
-        // A dirty cache snapshot must get written even if every client goes
-        // quiet — an infinite epoll wait would defer it forever.
-        if let Some(due) = snapshot_due_in(&self.state) {
-            consider(due);
-        }
-        // +1ms so the sweep runs *after* the deadline, not a hair before.
-        next.map(|d| d.as_millis().min(i32::MAX as u128 - 1) as i32 + 1)
-    }
-
-    fn accept_all(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => self.admit(stream),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                // Transient per-connection accept failures (e.g. the peer
-                // reset before accept) must not kill the loop.
-                Err(_) => break,
-            }
-        }
-    }
-
-    fn admit(&mut self, stream: TcpStream) {
-        if self.draining {
-            return;
-        }
-        if stream.set_nonblocking(true).is_err() {
-            return;
-        }
-        if self.max_connections > 0 && self.conns.len() >= self.max_connections {
-            self.state.metrics.record_shed();
-            refuse_nonblocking(stream);
-            return;
-        }
-        // Pipelined clients interleave small request and response lines;
-        // Nagle would serialize them round-trip by round-trip.
-        stream.set_nodelay(true).ok();
-        let token = self.next_token;
-        self.next_token += 1;
-        let conn = Conn::new(stream, Instant::now());
-        if self
-            .poller
-            .register(conn.stream.as_raw_fd(), token, conn.interest)
-            .is_err()
-        {
-            return; // unregistered connections cannot be served
-        }
-        self.state.metrics.connection_opened();
-        self.conns.insert(token, conn);
+        let deadlines = [
+            self.clients
+                .next_deadline(now, self.idle_timeout, LineConn::idle_since),
+            self.clients
+                .next_deadline(now, self.write_timeout, LineConn::stalled_since),
+            (!self.deferred.is_empty()).then(|| Duration::from_millis(DEFERRED_RETRY_MS)),
+            // A dirty cache snapshot must get written even if every client
+            // goes quiet — an infinite epoll wait would defer it forever.
+            snapshot_due_in(&self.state),
+        ];
+        deadlines.into_iter().flatten().min().map(timeout_ms)
     }
 
     fn handle_readable(&mut self, token: u64) {
-        let mut scratch = std::mem::take(&mut self.scratch);
         let mut events: Vec<LineEvent> = Vec::new();
-        let mut eof = false;
-        let mut dead = false;
-        {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                self.scratch = scratch;
-                return;
-            };
-            // One read per readiness event: level-triggered epoll reports
-            // the fd again if more than a scratch buffer is pending, which
-            // keeps one flooding client from starving the others.
-            loop {
-                match conn.stream.read(&mut scratch) {
-                    Ok(0) => {
-                        eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.last_activity = Instant::now();
-                        feed_lines(conn, &scratch[..n], self.max_line_bytes, &mut events);
-                        break;
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            if eof {
-                // A final unterminated line still counts, as in the
-                // blocking reader.
-                if conn.line_len > 0 || conn.overflowed {
-                    let bytes = conn.line_len;
-                    let line = std::mem::take(&mut conn.line);
-                    let overflowed = std::mem::take(&mut conn.overflowed);
-                    conn.line_len = 0;
-                    events.push(complete_line(line, bytes, overflowed));
-                }
-                conn.read_closed = true;
-                conn.closing = true;
-            }
-        }
-        self.scratch = scratch;
-        if dead {
+        let Some(conn) = self.clients.conns.get_mut(&token) else {
+            return;
+        };
+        if !conn.read(&mut self.scratch, &mut events) {
             self.drop_conn(token);
             return;
         }
         for event in events {
-            if !self.conns.contains_key(&token) || !self.handle_line_event(token, event) {
+            if !self.clients.conns.contains_key(&token) || !self.handle_line_event(token, event) {
                 break;
             }
         }
         // One flush for the whole readable batch: a pipelined burst of
         // cache hits goes out as one write instead of waking the peer once
-        // per response. (`try_write` also refreshes interest and settles a
-        // closing connection.)
-        self.try_write(token);
+        // per response.
+        self.flush(token);
     }
 
-    /// Reacts to one extracted input event. Returns `false` when the
-    /// connection should stop consuming further buffered input.
+    /// Reacts to one framed event. Returns `false` when the connection
+    /// should stop consuming further buffered input.
     fn handle_line_event(&mut self, token: u64, event: LineEvent) -> bool {
-        match event {
-            LineEvent::TooLong { bytes } => {
-                self.state.metrics.record_error(None);
-                let message = format!(
-                    "request of {bytes} bytes exceeds the {} byte line limit",
-                    self.max_line_bytes
+        let bytes_in = event.bytes();
+        match classify_event(&self.state, &event) {
+            None => true,
+            Some(LineAction::Respond(served)) => {
+                trace_request(
+                    &self.state,
+                    served.kind,
+                    served.ok,
+                    served.cached,
+                    bytes_in,
+                    served.error.as_deref(),
                 );
-                let response = error_response(None, &message).render();
-                self.enqueue_response(token, response);
-                trace_request(&self.state, None, false, false, bytes, Some(&message));
-                // The stream is already resynced at the newline; keep going.
+                let shutdown = served.shutdown;
+                self.enqueue_response(token, served.response);
+                if shutdown {
+                    self.begin_drain();
+                    return false;
+                }
+                if event.ends_input() {
+                    if let Some(conn) = self.clients.conns.get_mut(&token) {
+                        conn.closing = true;
+                    }
+                    return false;
+                }
                 true
             }
-            LineEvent::InvalidUtf8 { bytes } => {
-                self.state.metrics.record_error(None);
-                let message = "request line is not valid UTF-8";
-                let response = error_response(None, message).render();
-                self.enqueue_response(token, response);
-                trace_request(&self.state, None, false, false, bytes, Some(message));
-                // A binary peer won't speak the protocol from here on.
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.read_closed = true;
-                    conn.closing = true;
-                }
-                false
-            }
-            LineEvent::Line(line) => {
-                if line.trim().is_empty() {
-                    return true;
-                }
-                let mut scratch = LineMemo::default();
-                let memo = match self.conns.get_mut(&token) {
-                    Some(conn) => &mut conn.memo,
-                    None => &mut scratch,
-                };
-                match classify_line(&self.state, &line, memo) {
-                    LineAction::Respond(served) => {
-                        let shutdown = served.shutdown;
-                        self.enqueue_response(token, served.response);
-                        trace_request(
-                            &self.state,
-                            served.kind,
-                            served.ok,
-                            served.cached,
-                            line.len(),
-                            served.error.as_deref(),
-                        );
-                        if shutdown {
-                            self.begin_drain();
-                            return false;
-                        }
-                        true
-                    }
-                    LineAction::Compute {
-                        id,
-                        kind,
-                        body,
-                        key,
-                        started,
-                    } => {
-                        self.submit_compute(token, line.len(), id, kind, body, key, started);
-                        true
-                    }
-                    LineAction::Batch { id, plan, started } => {
-                        self.submit_batch(token, line.len(), id, plan, started);
-                        true
-                    }
-                }
+            Some(LineAction::Work { work, .. }) => {
+                self.submit(token, bytes_in, work);
+                true
             }
         }
     }
 
-    fn bump_in_flight(&mut self, token: u64) {
-        if let Some(conn) = self.conns.get_mut(&token) {
+    /// Runs `work` on the pool and routes its answer back to connection
+    /// `token` as a [`Completion`].
+    fn submit(&mut self, token: u64, bytes_in: usize, work: Work) {
+        if let Some(conn) = self.clients.conns.get_mut(&token) {
             conn.in_flight += 1;
             self.state
                 .metrics
                 .record_pipeline_depth(conn.in_flight as u64);
         }
-    }
-
-    #[allow(clippy::too_many_arguments)] // forwards one request's parsed fields into the worker closure
-    fn submit_compute(
-        &mut self,
-        token: u64,
-        bytes_in: usize,
-        id: Option<Json>,
-        kind: &'static str,
-        body: RequestBody,
-        key: Option<String>,
-        started: Instant,
-    ) {
-        self.bump_in_flight(token);
         let state = Arc::clone(&self.state);
         let tx = self.tx.clone();
         let waker = self.waker;
-        self.submit_or_defer(Box::new(move || {
-            let outcome = compute_result(&body);
-            let served = finish_compute(&state, id.as_ref(), kind, key, started, outcome);
+        let job: Job = Box::new(move || {
+            let served = work(&state);
             tx.send(Completion {
                 conn: token,
                 bytes_in,
@@ -494,51 +258,9 @@ impl EventLoop {
             })
             .ok();
             waker.wake();
-        }));
-    }
-
-    fn submit_batch(
-        &mut self,
-        token: u64,
-        bytes_in: usize,
-        id: Option<Json>,
-        plan: BatchPlan,
-        started: Instant,
-    ) {
-        self.bump_in_flight(token);
-        let BatchPlan {
-            slots,
-            jobs,
-            payloads,
-            all_cached,
-        } = plan;
-        let state = Arc::clone(&self.state);
-        let tx = self.tx.clone();
-        let waker = self.waker;
-        self.submit_or_defer(Box::new(move || {
-            let results = run_batch_jobs(&state.cache, &jobs);
-            let served = finish_batch(
-                &state,
-                id.as_ref(),
-                slots,
-                &payloads,
-                all_cached,
-                results,
-                started,
-            );
-            tx.send(Completion {
-                conn: token,
-                bytes_in,
-                served,
-            })
-            .ok();
-            waker.wake();
-        }));
-    }
-
-    /// Hands a job to the pool without ever blocking the poll thread: a
-    /// full queue parks it in the deferred queue (order preserved).
-    fn submit_or_defer(&mut self, job: Job) {
+        });
+        // Never block the poll thread: a full queue parks the job in the
+        // deferred queue (order preserved).
         if !self.deferred.is_empty() {
             self.deferred.push_back(job);
             return;
@@ -567,19 +289,19 @@ impl EventLoop {
 
     fn drain_completions(&mut self) {
         let mut touched: Vec<u64> = Vec::new();
-        while let Ok(completion) = self.rx.try_recv() {
-            let Completion {
-                conn: token,
-                bytes_in,
-                served,
-            } = completion;
-            match self.conns.get_mut(&token) {
-                Some(conn) => conn.in_flight -= 1,
-                // The connection died while its job ran; the work still
-                // happened (and was cached), only the response is dropped.
-                None => continue,
-            }
-            self.enqueue_response(token, served.response);
+        while let Ok(Completion {
+            conn: token,
+            bytes_in,
+            served,
+        }) = self.rx.try_recv()
+        {
+            // A connection that died while its job ran is gone: the work
+            // still happened (and was cached), only the response is dropped.
+            let Some(conn) = self.clients.conns.get_mut(&token) else {
+                continue;
+            };
+            conn.in_flight -= 1;
+            conn.enqueue(served.response);
             trace_request(
                 &self.state,
                 served.kind,
@@ -594,267 +316,80 @@ impl EventLoop {
         }
         // One flush per connection after the whole drain: completions for a
         // pipelined client coalesce into one write instead of one per job.
-        // (`try_write` also refreshes interest — un-pausing a read that hit
-        // the pipeline cap — and settles a closing connection.)
+        // (The flush also resumes reads that hit the pipeline cap and
+        // settles a closing connection.)
         for token in touched {
-            self.try_write(token);
+            self.flush(token);
         }
     }
 
-    /// Appends one response line to the connection's output buffer. The
-    /// caller flushes with [`EventLoop::try_write`] once its whole batch is
-    /// enqueued, so back-to-back responses share one `write`. Takes the
-    /// rendered response by value: a drained buffer adopts the allocation
-    /// outright, so a large (e.g. batch) response is never copied again.
     fn enqueue_response(&mut self, token: u64, response: String) {
-        let Some(conn) = self.conns.get_mut(&token) else {
+        if let Some(conn) = self.clients.conns.get_mut(&token) {
+            conn.enqueue(response);
+        }
+    }
+
+    /// Writes what the socket takes; drops the connection once it failed or
+    /// has settled.
+    fn flush(&mut self, token: u64) {
+        let Some(conn) = self.clients.conns.get_mut(&token) else {
             return;
         };
-        self.pending_out_total += response.len() + 1;
-        if conn.out_pos == conn.out.len() {
-            conn.out = response.into_bytes();
-            conn.out_pos = 0;
-            conn.out.push(b'\n');
-        } else {
-            conn.out.extend_from_slice(response.as_bytes());
-            conn.out.push(b'\n');
-        }
-    }
-
-    /// Writes as much pending output as the socket will take.
-    fn try_write(&mut self, token: u64) {
-        let mut dead = false;
-        let mut written = 0usize;
-        {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            while conn.out_pos < conn.out.len() {
-                match conn.stream.write(&conn.out[conn.out_pos..]) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.out_pos += n;
-                        written += n;
-                        conn.stalled_since = None;
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        if conn.stalled_since.is_none() {
-                            conn.stalled_since = Some(Instant::now());
-                        }
-                        break;
-                    }
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            if conn.out_pos >= conn.out.len() {
-                conn.out.clear();
-                conn.out_pos = 0;
-                conn.stalled_since = None;
-            } else if conn.out_pos > 4096 {
-                // Compact so a long-lived slow reader cannot grow the
-                // buffer without bound through already-written prefixes.
-                conn.out.drain(..conn.out_pos);
-                conn.out_pos = 0;
-            }
-        }
-        self.release_pending(written);
-        if dead {
-            self.drop_conn(token);
-            return;
-        }
-        self.update_interest(token);
-        self.maybe_close(token);
-    }
-
-    /// Retires `bytes` from the pending-output gauge total — bytes the
-    /// sockets accepted, or bytes discarded with a dropped connection.
-    /// Every teardown path must come through here (or [`Self::drop_conn`],
-    /// which does): buffered-but-unflushed output abandoned by an abnormal
-    /// close would otherwise stay in the gauge forever. Saturating so an
-    /// accounting bug shows up as a too-small gauge (and a debug assert),
-    /// never as a wrapped ~2^64 reading.
-    fn release_pending(&mut self, bytes: usize) {
-        debug_assert!(
-            bytes <= self.pending_out_total,
-            "releasing {bytes} pending output bytes but only {} are accounted",
-            self.pending_out_total
-        );
-        self.pending_out_total = self.pending_out_total.saturating_sub(bytes);
-    }
-
-    /// Recomputes and (only when changed) re-registers the connection's
-    /// epoll interest from its flow-control state.
-    fn update_interest(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let mut want = 0u32;
-        let reading = !conn.read_closed
-            && !conn.closing
-            && conn.in_flight < MAX_PIPELINE
-            && conn.out_pending() <= MAX_CONN_OUT_BYTES;
-        if reading {
-            want |= EPOLLIN | EPOLLRDHUP;
-        }
-        if conn.out_pending() > 0 {
-            want |= EPOLLOUT;
-        }
-        if want != conn.interest {
-            conn.interest = want;
-            let fd = conn.stream.as_raw_fd();
-            self.poller.modify(fd, token, want).ok();
-        }
-    }
-
-    /// Tears the connection down once it is closing and fully settled.
-    fn maybe_close(&mut self, token: u64) {
-        let done = self
-            .conns
-            .get(&token)
-            .is_some_and(|c| c.closing && c.in_flight == 0 && c.out_pending() == 0);
-        if done {
+        if !conn.flush(&self.poller, token) {
             self.drop_conn(token);
         }
     }
 
     fn drop_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            // Whatever was buffered for this peer will never be written;
-            // without this release an abnormal close (reset, write error,
-            // deadline kill) would pin its bytes in the gauge forever.
-            self.release_pending(conn.out_pending());
-            // Dropping the stream closes the fd, which deregisters it from
-            // the poller implicitly.
+        // Dropping the stream closes the fd, which deregisters it from the
+        // poller implicitly.
+        if self.clients.conns.remove(&token).is_some() {
             self.state.metrics.connection_closed();
         }
     }
 
     fn enforce_deadlines(&mut self, now: Instant) {
-        if let Some(limit) = self.write_timeout {
-            let stalled: Vec<u64> = self
-                .conns
-                .iter()
-                .filter(|(_, c)| {
-                    c.stalled_since
-                        .is_some_and(|s| now.duration_since(s) >= limit)
-                })
-                .map(|(&t, _)| t)
-                .collect();
-            for token in stalled {
-                // The peer stopped reading; nothing useful can be written.
-                self.state.metrics.record_timeout();
-                self.drop_conn(token);
-            }
+        let stalled = self
+            .clients
+            .expired(now, self.write_timeout, LineConn::stalled_since);
+        for token in stalled {
+            // The peer stopped reading; nothing useful can be written.
+            self.state.metrics.record_timeout();
+            self.drop_conn(token);
         }
-        if let Some(limit) = self.idle_timeout {
-            let idle: Vec<u64> = self
-                .conns
-                .iter()
-                .filter(|(_, c)| c.idle_eligible() && now.duration_since(c.last_activity) >= limit)
-                .map(|(&t, _)| t)
-                .collect();
-            for token in idle {
-                self.state.metrics.record_timeout();
-                let message = "idle timeout: no complete request within the read deadline";
-                let response = error_response(None, message).render();
-                self.enqueue_response(token, response);
-                trace_request(&self.state, None, false, false, 0, Some(message));
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.read_closed = true;
-                    conn.closing = true;
-                }
-                self.try_write(token);
+        let idle = self
+            .clients
+            .expired(now, self.idle_timeout, LineConn::idle_since);
+        for token in idle {
+            self.state.metrics.record_timeout();
+            trace_request(&self.state, None, false, false, 0, Some(IDLE_TIMEOUT));
+            if let Some(conn) = self.clients.conns.get_mut(&token) {
+                conn.enqueue(error_response(None, IDLE_TIMEOUT).render());
+                conn.closing = true;
             }
+            self.flush(token);
         }
     }
 
     /// Stops accepting and reading; the loop exits once every accepted
     /// request has been answered and every response written.
     fn begin_drain(&mut self) {
-        if self.draining {
+        if self.clients.draining {
             return;
         }
-        self.draining = true;
         self.state.shutdown.store(true, Ordering::SeqCst);
-        self.poller.deregister(self.listener.as_raw_fd()).ok();
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        for token in tokens {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.read_closed = true;
-                conn.closing = true;
-            }
-            self.update_interest(token);
-            self.maybe_close(token);
+        for token in self.clients.drain(&self.poller) {
+            self.flush(token);
         }
     }
 
     fn publish_gauges(&self) {
-        self.state
-            .metrics
-            .set_registered_fds(self.conns.len() as u64);
-        self.state
-            .metrics
-            .set_pending_write_bytes(self.pending_out_total as u64);
+        let metrics = &self.state.metrics;
+        let conns = &self.clients.conns;
+        metrics.set_registered_fds(conns.len() as u64);
+        // Summed over the live connections, so however a connection is torn
+        // down, its unsent bytes leave the gauge with it.
+        let pending: usize = conns.values().map(LineConn::out_pending).sum();
+        metrics.set_pending_write_bytes(pending as u64);
     }
-}
-
-/// Splits freshly read bytes into line events, enforcing the line limit
-/// *while the bytes stream in* — an overflowing line is discarded as it
-/// arrives, exactly like the blocking reader.
-fn feed_lines(conn: &mut Conn, data: &[u8], max: usize, events: &mut Vec<LineEvent>) {
-    let mut rest = data;
-    while let Some(pos) = rest.iter().position(|&b| b == b'\n') {
-        let chunk = &rest[..pos];
-        rest = &rest[pos + 1..];
-        accumulate(conn, chunk, max);
-        let bytes = conn.line_len;
-        let line = std::mem::take(&mut conn.line);
-        let overflowed = std::mem::take(&mut conn.overflowed);
-        conn.line_len = 0;
-        events.push(complete_line(line, bytes, overflowed));
-    }
-    accumulate(conn, rest, max);
-}
-
-fn accumulate(conn: &mut Conn, chunk: &[u8], max: usize) {
-    conn.line_len += chunk.len();
-    if conn.overflowed {
-        return;
-    }
-    if conn.line_len <= max {
-        conn.line.extend_from_slice(chunk);
-    } else {
-        conn.overflowed = true;
-        conn.line = Vec::new(); // free what was gathered so far
-    }
-}
-
-fn complete_line(line: Vec<u8>, bytes: usize, overflowed: bool) -> LineEvent {
-    if overflowed {
-        LineEvent::TooLong { bytes }
-    } else {
-        match String::from_utf8(line) {
-            Ok(line) => LineEvent::Line(line),
-            Err(_) => LineEvent::InvalidUtf8 { bytes },
-        }
-    }
-}
-
-/// Writes one structured error line to a connection being turned away —
-/// best effort on a nonblocking socket (one small write into a fresh
-/// socket buffer; a peer that cannot take even that gets a bare close).
-fn refuse_nonblocking(mut stream: TcpStream) {
-    let response = error_response(
-        None,
-        "server overloaded: connection limit reached, retry later",
-    )
-    .render();
-    let _ = stream.write_all(format!("{response}\n").as_bytes());
 }

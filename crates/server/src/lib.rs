@@ -19,12 +19,17 @@
 //!   `--cache-snapshot` (magic/version framing, bounded reader, atomic
 //!   write-then-rename) so a restarted daemon warms instantly,
 //! * `sys` (Linux) — a thin in-repo `epoll`/`pipe` syscall wrapper,
-//! * `event` (Linux) — the readiness-driven connection layer: one poll
-//!   thread multiplexing every socket, per-connection state machines, and
-//!   pipelined out-of-order responses tagged by request id,
+//! * `conn` — the one connection core: the bounded line framer every
+//!   serving loop reads through, and (Linux) the nonblocking line connection
+//!   plus accept/refuse and deadline steps both epoll loops drive,
+//! * `event` (Linux) — the daemon's readiness-driven loop: one poll thread
+//!   multiplexing every socket, and pipelined out-of-order responses tagged
+//!   by request id,
 //! * [`route`] (Linux) — the `sealpaa route` gateway: consistent-hashes
 //!   canonical cache keys across backend daemons and multiplexes clients
-//!   onto per-backend pipelined links.
+//!   onto per-backend pipelined links,
+//! * `fnv` — FNV-1a 64, the stable hash behind snapshot checksums and
+//!   router placement.
 //!
 //! The daemon serves TCP under one of two I/O models
 //! ([`server::IoModel`]): the default event loop (`--io-model event`,
@@ -49,8 +54,10 @@
 
 pub mod cache;
 pub mod canonical;
+mod conn;
 #[cfg(target_os = "linux")]
 mod event;
+mod fnv;
 pub mod json;
 pub mod metrics;
 pub mod pool;

@@ -65,8 +65,6 @@ pub struct Metrics {
     registered_fds: AtomicU64,
     pending_write_bytes: AtomicU64,
     max_pipeline_depth: AtomicU64,
-    hot_hits: AtomicU64,
-    hot_misses: AtomicU64,
 }
 
 impl Default for Metrics {
@@ -83,8 +81,6 @@ impl Default for Metrics {
             registered_fds: AtomicU64::new(0),
             pending_write_bytes: AtomicU64::new(0),
             max_pipeline_depth: AtomicU64::new(0),
-            hot_hits: AtomicU64::new(0),
-            hot_misses: AtomicU64::new(0),
         }
     }
 }
@@ -136,14 +132,6 @@ pub struct MetricsSnapshot {
     /// thread-per-connection model serves strictly one request at a time,
     /// so it records 1 per computed request.
     pub max_pipeline_depth: u64,
-    /// Cache hits answered from a connection's hot tier (a small
-    /// per-connection front cache) without re-reading the shared LRU's
-    /// value. Every hot hit is also a shared-cache hit — the hot tier only
-    /// replays entries it revalidates as still resident.
-    pub hot_hits: u64,
-    /// Keyed requests that probed a connection's hot tier and fell through
-    /// to the shared LRU (absent, or no longer resident there).
-    pub hot_misses: u64,
 }
 
 impl Metrics {
@@ -210,16 +198,6 @@ impl Metrics {
         self.max_pipeline_depth.fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// Records a request answered from a connection's hot-tier copy.
-    pub fn record_hot_hit(&self) {
-        self.hot_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a keyed request that missed the connection's hot tier.
-    pub fn record_hot_miss(&self) {
-        self.hot_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Reads all counters. Concurrent recording may tear between counters
     /// (a snapshot is not an atomic cut), which is fine for monitoring.
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -252,8 +230,6 @@ impl Metrics {
             registered_fds: self.registered_fds.load(Ordering::Relaxed),
             pending_write_bytes: self.pending_write_bytes.load(Ordering::Relaxed),
             max_pipeline_depth: self.max_pipeline_depth.load(Ordering::Relaxed),
-            hot_hits: self.hot_hits.load(Ordering::Relaxed),
-            hot_misses: self.hot_misses.load(Ordering::Relaxed),
         }
     }
 }
@@ -419,17 +395,6 @@ mod tests {
         assert_eq!(snap.max_pipeline_depth, 9, "gauge keeps the high-water");
         metrics.set_registered_fds(0);
         assert_eq!(metrics.snapshot().registered_fds, 0);
-    }
-
-    #[test]
-    fn hot_tier_counters_track_hits_and_misses() {
-        let metrics = Metrics::new();
-        metrics.record_hot_hit();
-        metrics.record_hot_hit();
-        metrics.record_hot_miss();
-        let snap = metrics.snapshot();
-        assert_eq!(snap.hot_hits, 2);
-        assert_eq!(snap.hot_misses, 1);
     }
 
     #[test]

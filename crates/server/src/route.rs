@@ -11,13 +11,19 @@
 //! of duplicating the same hot entries N times. Keyless requests (inline
 //! profile traces) carry no reusable result and are spread round-robin.
 //!
-//! The connection layer reuses the event-loop design (`epoll` readiness via
-//! the `sys` module, bounded line assembly, per-connection output buffers)
-//! and the daemon's pipelining contract: each backend link carries at most
-//! 128 in-flight requests, exactly like a direct pipelined client; excess
-//! forwards queue at the router. Client `id`s are rewritten to router-
-//! internal sequence numbers on the way up and restored on the way down, so
-//! many clients multiplex onto one link without id collisions.
+//! Placement hashes with FNV-1a 64 through the SplitMix64 finalizer, a
+//! function fixed by its specification, so a toolchain upgrade cannot move
+//! keys away from the backends whose caches (and snapshots) hold them. The
+//! finalizer matters: canonical keys differ mostly in their trailing
+//! characters, which plain FNV-1a leaves clustered on the ring.
+//!
+//! Connections are the `conn` module's [`LineConn`]s, the same ones the
+//! daemon's event loop drives: clients under the daemon's pipelining and
+//! output caps, and one pipelined link per backend. Each link carries at
+//! most 128 in-flight requests, exactly like a direct pipelined client;
+//! excess forwards queue at the router. Client `id`s are rewritten to
+//! router-internal sequence numbers on the way up and restored on the way
+//! down, so many clients multiplex onto one link without id collisions.
 //!
 //! `batch` envelopes are fanned out: items are grouped by their target
 //! backend, each group is forwarded as a sub-batch (items verbatim, so
@@ -34,33 +40,27 @@
 //! re-routes to the survivors. With no healthy backend at all the router
 //! sheds: a structured error per request, the connection stays up.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
+use sealpaa_sim::SplitMix64;
+
 use crate::canonical::cache_key;
+use crate::conn::{timeout_ms, Clients, LineConn, LineEvent, MAX_PIPELINE, TOKEN_LISTENER};
+use crate::fnv::Fnv1a;
 use crate::json::Json;
 use crate::protocol::{
     body_from_doc, error_response, ok_response, render_batch_ok_response, BatchBody, RequestBody,
     MAX_LINE_BYTES,
 };
-use crate::sys::{Poller, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use crate::sys::Poller;
 
-/// Registration token for the listen socket.
-const TOKEN_LISTENER: u64 = u64::MAX;
 /// Backend `i` is registered under `BACKEND_TOKEN_BASE - i`; client tokens
 /// count up from 0 and can never collide.
 const BACKEND_TOKEN_BASE: u64 = u64::MAX - 1;
 
-/// Per-backend-link in-flight cap — the daemon's pipelining contract.
-const MAX_PIPELINE: usize = 128;
-/// Pending-output cap per client; past it the client's read interest is
-/// paused until it drains its responses.
-const MAX_CONN_OUT_BYTES: usize = 4 << 20;
 /// Virtual ring points per backend: enough that removing one backend moves
 /// only ~1/N of the key space and that per-backend shares stay close to
 /// uniform (share variance shrinks with the point count).
@@ -162,126 +162,13 @@ impl Router {
     }
 }
 
-/// Line assembly with an in-stream length bound — the router's copy of the
-/// daemon's bounded reader (overflowing lines are discarded as they arrive).
-#[derive(Default)]
-struct LineBuf {
-    line: Vec<u8>,
-    len: usize,
-    overflowed: bool,
-}
-
-enum RawLine {
-    Line(String),
-    TooLong { bytes: usize },
-    InvalidUtf8,
-}
-
-impl LineBuf {
-    fn feed(&mut self, data: &[u8], max: usize, out: &mut Vec<RawLine>) {
-        let mut rest = data;
-        while let Some(pos) = rest.iter().position(|&b| b == b'\n') {
-            let chunk = &rest[..pos];
-            rest = &rest[pos + 1..];
-            self.accumulate(chunk, max);
-            out.push(self.complete());
-        }
-        self.accumulate(rest, max);
-    }
-
-    fn accumulate(&mut self, chunk: &[u8], max: usize) {
-        self.len += chunk.len();
-        if self.overflowed {
-            return;
-        }
-        if self.len <= max {
-            self.line.extend_from_slice(chunk);
-        } else {
-            self.overflowed = true;
-            self.line = Vec::new();
-        }
-    }
-
-    fn complete(&mut self) -> RawLine {
-        let bytes = std::mem::take(&mut self.len);
-        let line = std::mem::take(&mut self.line);
-        if std::mem::take(&mut self.overflowed) {
-            RawLine::TooLong { bytes }
-        } else {
-            match String::from_utf8(line) {
-                Ok(line) => RawLine::Line(line),
-                Err(_) => RawLine::InvalidUtf8,
-            }
-        }
-    }
-}
-
-/// Per-client connection state (mirrors the daemon's event-loop `Conn`).
-struct Client {
-    stream: TcpStream,
-    buf: LineBuf,
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Requests forwarded upstream whose responses have not been enqueued.
-    in_flight: usize,
-    stalled_since: Option<Instant>,
-    interest: u32,
-    read_closed: bool,
-    closing: bool,
-}
-
-impl Client {
-    fn new(stream: TcpStream) -> Client {
-        Client {
-            stream,
-            buf: LineBuf::default(),
-            out: Vec::new(),
-            out_pos: 0,
-            in_flight: 0,
-            stalled_since: None,
-            interest: EPOLLIN | EPOLLRDHUP,
-            read_closed: false,
-            closing: false,
-        }
-    }
-
-    fn out_pending(&self) -> usize {
-        self.out.len() - self.out_pos
-    }
-}
-
-/// One pipelined connection to a backend daemon.
-struct Link {
-    stream: TcpStream,
-    buf: LineBuf,
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Requests written (or being written) whose responses are outstanding.
-    in_flight: usize,
-    /// Rendered request lines waiting for an in-flight slot.
-    wait: VecDeque<String>,
-    interest: u32,
-}
-
-impl Link {
-    fn new(stream: TcpStream) -> Link {
-        Link {
-            stream,
-            buf: LineBuf::default(),
-            out: Vec::new(),
-            out_pos: 0,
-            in_flight: 0,
-            wait: VecDeque::new(),
-            interest: EPOLLIN | EPOLLRDHUP,
-        }
-    }
-}
-
 /// One configured backend: its address is permanent, its link comes and
 /// goes with its health.
 struct Backend {
     addr: String,
-    link: Option<Link>,
+    link: Option<LineConn>,
+    /// Rendered request lines waiting for an in-flight slot on the link.
+    wait: VecDeque<String>,
     /// Requests ever handed to this backend (a placement gauge).
     forwarded: u64,
     /// The last health probe has not been answered yet; a second unanswered
@@ -338,9 +225,7 @@ struct BatchState {
 
 struct RouteLoop {
     poller: Poller,
-    listener: TcpListener,
-    clients: HashMap<u64, Client>,
-    next_client: u64,
+    clients: Clients,
     backends: Vec<Backend>,
     /// The consistent-hash ring over healthy backends, sorted by point.
     ring: Vec<(u64, usize)>,
@@ -350,12 +235,9 @@ struct RouteLoop {
     next_request: u64,
     batches: HashMap<u64, BatchState>,
     next_batch: u64,
-    max_connections: usize,
-    max_line_bytes: usize,
     write_timeout: Option<Duration>,
     health_interval: Duration,
     last_health: Instant,
-    draining: bool,
     requests: u64,
     errors: u64,
     shed: u64,
@@ -367,24 +249,28 @@ impl RouteLoop {
         let Router {
             listener, config, ..
         } = router;
-        listener.set_nonblocking(true)?;
         let poller = Poller::new()?;
-        poller.register(listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN)?;
+        let clients = Clients::new(
+            listener,
+            &poller,
+            config.max_connections,
+            config.max_line_bytes.max(1),
+            "router overloaded: connection limit reached, retry later",
+        )?;
         let backends = config
             .backends
             .iter()
             .map(|addr| Backend {
                 addr: addr.clone(),
                 link: None,
+                wait: VecDeque::new(),
                 forwarded: 0,
                 probe_outstanding: false,
             })
             .collect();
         let mut this = RouteLoop {
             poller,
-            listener,
-            clients: HashMap::new(),
-            next_client: 0,
+            clients,
             backends,
             ring: Vec::new(),
             rr: 0,
@@ -392,13 +278,10 @@ impl RouteLoop {
             next_request: 0,
             batches: HashMap::new(),
             next_batch: 0,
-            max_connections: config.max_connections,
-            max_line_bytes: config.max_line_bytes.max(1),
             write_timeout: (config.write_timeout_ms > 0)
                 .then(|| Duration::from_millis(config.write_timeout_ms)),
             health_interval: Duration::from_millis(config.health_interval_ms.max(1)),
             last_health: Instant::now(),
-            draining: false,
             requests: 0,
             errors: 0,
             shed: 0,
@@ -418,24 +301,21 @@ impl RouteLoop {
             let timeout = self.poll_timeout_ms(Instant::now());
             self.poller.wait(&mut ready, Some(timeout))?;
             for r in std::mem::take(&mut ready) {
-                match r.token {
-                    TOKEN_LISTENER => self.accept_all(),
-                    token if backend_index(token, self.backends.len()).is_some() => {
-                        let i = backend_index(token, self.backends.len()).expect("checked");
-                        if r.readable() {
-                            self.backend_readable(i);
-                        }
-                        if r.writable() {
-                            self.try_write_backend(i);
-                        }
+                if r.token == TOKEN_LISTENER {
+                    self.shed += self.clients.accept(&self.poller).1 as u64;
+                } else if let Some(i) = backend_index(r.token, self.backends.len()) {
+                    if r.readable() {
+                        self.backend_readable(i);
                     }
-                    token => {
-                        if r.readable() {
-                            self.client_readable(token);
-                        }
-                        if r.writable() && self.clients.contains_key(&token) {
-                            self.try_write_client(token);
-                        }
+                    if r.writable() {
+                        self.flush_backend(i);
+                    }
+                } else {
+                    if r.readable() {
+                        self.client_readable(r.token);
+                    }
+                    if r.writable() {
+                        self.flush_client(r.token);
                     }
                 }
             }
@@ -444,8 +324,13 @@ impl RouteLoop {
                 self.last_health = now;
                 self.health_tick();
             }
-            self.enforce_write_deadlines(now);
-            if self.draining && self.settled() {
+            let stalled = self
+                .clients
+                .expired(now, self.write_timeout, LineConn::stalled_since);
+            for token in stalled {
+                self.drop_client(token);
+            }
+            if self.clients.draining && self.settled() {
                 return Ok(());
             }
         }
@@ -454,7 +339,7 @@ impl RouteLoop {
     /// Draining is finished once every client is gone and nothing but
     /// health probes is outstanding.
     fn settled(&self) -> bool {
-        self.clients.is_empty()
+        self.clients.conns.is_empty()
             && self.batches.is_empty()
             && self
                 .pending
@@ -463,141 +348,50 @@ impl RouteLoop {
     }
 
     fn poll_timeout_ms(&self, now: Instant) -> i32 {
-        let mut next = self
+        let health = self
             .health_interval
             .saturating_sub(now.duration_since(self.last_health));
-        if let Some(limit) = self.write_timeout {
-            for client in self.clients.values() {
-                if let Some(since) = client.stalled_since {
-                    let due = limit.saturating_sub(now.duration_since(since));
-                    next = next.min(due);
-                }
-            }
-        }
-        // +1ms so sweeps run *after* their deadline, not a hair before.
-        next.as_millis().min(i32::MAX as u128 - 1) as i32 + 1
+        let stall = self
+            .clients
+            .next_deadline(now, self.write_timeout, LineConn::stalled_since);
+        timeout_ms(stall.map_or(health, |stall| stall.min(health)))
     }
 
     // ---- clients -------------------------------------------------------
 
-    fn accept_all(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => self.admit(stream),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
-        }
-    }
-
-    fn admit(&mut self, stream: TcpStream) {
-        if self.draining || stream.set_nonblocking(true).is_err() {
-            return;
-        }
-        if self.max_connections > 0 && self.clients.len() >= self.max_connections {
-            self.shed += 1;
-            refuse(stream);
-            return;
-        }
-        stream.set_nodelay(true).ok();
-        let token = self.next_client;
-        self.next_client += 1;
-        let client = Client::new(stream);
-        if self
-            .poller
-            .register(client.stream.as_raw_fd(), token, client.interest)
-            .is_err()
-        {
-            return;
-        }
-        self.clients.insert(token, client);
-    }
-
     fn client_readable(&mut self, token: u64) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut lines: Vec<RawLine> = Vec::new();
-        let mut eof = false;
-        let mut dead = false;
-        {
-            let Some(client) = self.clients.get_mut(&token) else {
-                self.scratch = scratch;
-                return;
-            };
-            // One read per readiness event: level-triggered epoll reports
-            // the fd again if more is pending, keeping clients fair.
-            loop {
-                match client.stream.read(&mut scratch) {
-                    Ok(0) => {
-                        eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        client
-                            .buf
-                            .feed(&scratch[..n], self.max_line_bytes, &mut lines);
-                        break;
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            if eof {
-                if client.buf.len > 0 || client.buf.overflowed {
-                    lines.push(client.buf.complete());
-                }
-                client.read_closed = true;
-                client.closing = true;
-            }
-        }
-        self.scratch = scratch;
-        if dead {
+        let mut events: Vec<LineEvent> = Vec::new();
+        let Some(client) = self.clients.conns.get_mut(&token) else {
+            return;
+        };
+        if !client.read(&mut self.scratch, &mut events) {
             self.drop_client(token);
             return;
         }
-        for line in lines {
-            if !self.clients.contains_key(&token) || !self.handle_client_line(token, line) {
+        for event in events {
+            if !self.clients.conns.contains_key(&token) || !self.handle_client_line(token, event) {
                 break;
             }
         }
-        self.try_write_client(token);
+        self.flush_client(token);
     }
 
-    /// Reacts to one client input event; returns `false` once the
+    /// Reacts to one framed client event; returns `false` once the
     /// connection should stop consuming buffered input.
-    fn handle_client_line(&mut self, token: u64, line: RawLine) -> bool {
-        match line {
-            RawLine::TooLong { bytes } => {
-                self.errors += 1;
-                let message = format!(
-                    "request of {bytes} bytes exceeds the {} byte line limit",
-                    self.max_line_bytes
-                );
-                let response = error_response(None, &message).render();
-                self.enqueue_client(token, response);
-                true
-            }
-            RawLine::InvalidUtf8 => {
-                self.errors += 1;
-                let response = error_response(None, "request line is not valid UTF-8").render();
-                self.enqueue_client(token, response);
-                if let Some(client) = self.clients.get_mut(&token) {
-                    client.read_closed = true;
-                    client.closing = true;
-                }
-                false
-            }
-            RawLine::Line(line) => {
-                if line.trim().is_empty() {
-                    return true;
-                }
-                self.handle_request(token, &line)
-            }
+    fn handle_client_line(&mut self, token: u64, event: LineEvent) -> bool {
+        if let LineEvent::Line(line) = &event {
+            return line.trim().is_empty() || self.handle_request(token, line);
         }
+        self.errors += 1;
+        let message = event.rejection(self.clients.max_line).unwrap_or_default();
+        self.enqueue_client(token, error_response(None, &message).render());
+        if event.ends_input() {
+            if let Some(client) = self.clients.conns.get_mut(&token) {
+                client.closing = true;
+            }
+            return false;
+        }
+        true
     }
 
     /// Triage of one request line — the router's counterpart of the
@@ -698,7 +492,7 @@ impl RouteLoop {
                 backend,
             },
         );
-        if let Some(client) = self.clients.get_mut(&token) {
+        if let Some(client) = self.clients.conns.get_mut(&token) {
             client.in_flight += 1;
         }
         self.requests += 1;
@@ -738,7 +532,7 @@ impl RouteLoop {
         // answers them with the per-item structured error, so the router
         // never has to re-implement (or risk diverging from) its messages.
         let mut placements: Vec<usize> = Vec::with_capacity(spec.items.len());
-        for (i, item) in spec.items.iter().enumerate() {
+        for item in &spec.items {
             let placed = match &item.body {
                 BatchBody::Parsed(Ok(body)) => self.place(cache_key(body).as_deref()),
                 BatchBody::Parsed(Err(_)) => self.place(None),
@@ -756,7 +550,6 @@ impl RouteLoop {
                 return;
             };
             placements.push(backend);
-            let _ = i;
         }
         // Group item positions by backend, preserving item order per group.
         let mut by_backend: HashMap<usize, Vec<usize>> = HashMap::new();
@@ -781,7 +574,7 @@ impl RouteLoop {
             groups: Vec::with_capacity(order.len()),
             outstanding: order.len(),
         };
-        if let Some(client) = self.clients.get_mut(&token) {
+        if let Some(client) = self.clients.conns.get_mut(&token) {
             client.in_flight += 1;
         }
         let mut sends: Vec<(usize, String)> = Vec::with_capacity(order.len());
@@ -844,12 +637,8 @@ impl RouteLoop {
             return;
         }
         stream.set_nodelay(true).ok();
-        let link = Link::new(stream);
-        if self
-            .poller
-            .register(link.stream.as_raw_fd(), backend_token(i), link.interest)
-            .is_err()
-        {
+        let link = LineConn::link(stream, MAX_BACKEND_LINE_BYTES);
+        if link.register(&self.poller, backend_token(i)).is_err() {
             return;
         }
         self.backends[i].link = Some(link);
@@ -858,86 +647,48 @@ impl RouteLoop {
     }
 
     fn rebuild_ring(&mut self) {
-        self.ring.clear();
-        for (i, backend) in self.backends.iter().enumerate() {
-            if backend.link.is_none() {
-                continue;
-            }
-            for point in 0..RING_POINTS {
-                self.ring.push((hash64(&(&backend.addr, point)), i));
-            }
-        }
-        self.ring.sort_unstable();
+        let healthy = self
+            .backends
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| b.link.is_some());
+        self.ring = ring_over(healthy.map(|(i, b)| (i, b.addr.as_str())));
     }
 
-    /// Queues one rendered request line on a backend link, respecting the
+    /// Queues one rendered request line for a backend link, respecting the
     /// 128-in-flight pipelining contract (excess lines wait at the router).
     fn send_to_backend(&mut self, i: usize, line: String) {
-        self.backends[i].forwarded += 1;
-        let Some(link) = self.backends[i].link.as_mut() else {
-            // Raced with a drop; the pending sweep has already answered (or
-            // will answer) this request's owner.
-            return;
-        };
-        if link.in_flight < MAX_PIPELINE {
-            link.in_flight += 1;
-            link.out.extend_from_slice(line.as_bytes());
-            link.out.push(b'\n');
-        } else {
-            link.wait.push_back(line);
+        let backend = &mut self.backends[i];
+        backend.forwarded += 1;
+        // Without a link the send raced with a drop; the pending sweep has
+        // already answered (or will answer) this request's owner.
+        if backend.link.is_some() {
+            backend.wait.push_back(line);
+            self.pump_backend(i);
         }
-        self.try_write_backend(i);
     }
 
     fn backend_readable(&mut self, i: usize) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut lines: Vec<RawLine> = Vec::new();
-        let mut dead = false;
-        {
-            let Some(link) = self.backends[i].link.as_mut() else {
-                self.scratch = scratch;
-                return;
+        let mut events: Vec<LineEvent> = Vec::new();
+        let Some(link) = self.backends[i].link.as_mut() else {
+            return;
+        };
+        let mut alive = link.read(&mut self.scratch, &mut events);
+        for event in events {
+            // A backend speaking garbage is as gone as a dead one.
+            let settled = match &event {
+                LineEvent::Line(line) => self.handle_backend_response(i, line),
+                LineEvent::TooLong { .. } | LineEvent::InvalidUtf8 { .. } => false,
             };
-            // Drain the socket fully: backends are few and every buffered
-            // response line maps to a waiting client.
-            loop {
-                match link.stream.read(&mut scratch) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
-                    Ok(n) => link
-                        .buf
-                        .feed(&scratch[..n], MAX_BACKEND_LINE_BYTES, &mut lines),
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
+            if !settled {
+                alive = false;
+                break;
             }
         }
-        self.scratch = scratch;
-        for line in lines {
-            match line {
-                RawLine::Line(line) => {
-                    if !self.handle_backend_response(i, &line) {
-                        dead = true;
-                        break;
-                    }
-                }
-                // A backend speaking garbage is as gone as a dead one.
-                RawLine::TooLong { .. } | RawLine::InvalidUtf8 => {
-                    dead = true;
-                    break;
-                }
-            }
-        }
-        if dead {
-            self.drop_backend(i);
-        } else {
+        if alive {
             self.pump_backend(i);
+        } else {
+            self.drop_backend(i);
         }
     }
 
@@ -970,11 +721,11 @@ impl RouteLoop {
             } => {
                 restore_id(&mut doc, original_id);
                 let response = doc.render();
-                if let Some(c) = self.clients.get_mut(&client) {
+                if let Some(c) = self.clients.conns.get_mut(&client) {
                     c.in_flight = c.in_flight.saturating_sub(1);
                 }
                 self.enqueue_client(client, response);
-                self.try_write_client(client);
+                self.flush_client(client);
             }
             Pending::BatchPart { batch, group, .. } => {
                 self.settle_batch_part(batch, group, &doc);
@@ -1060,26 +811,26 @@ impl RouteLoop {
             state.computed,
             &subs,
         );
-        if let Some(c) = self.clients.get_mut(&state.client) {
+        if let Some(c) = self.clients.conns.get_mut(&state.client) {
             c.in_flight = c.in_flight.saturating_sub(1);
         }
         self.enqueue_client(state.client, response);
-        self.try_write_client(state.client);
+        self.flush_client(state.client);
     }
 
     /// Moves waiting lines into freed in-flight slots and flushes.
     fn pump_backend(&mut self, i: usize) {
-        if let Some(link) = self.backends[i].link.as_mut() {
+        let backend = &mut self.backends[i];
+        if let Some(link) = backend.link.as_mut() {
             while link.in_flight < MAX_PIPELINE {
-                let Some(line) = link.wait.pop_front() else {
+                let Some(line) = backend.wait.pop_front() else {
                     break;
                 };
                 link.in_flight += 1;
-                link.out.extend_from_slice(line.as_bytes());
-                link.out.push(b'\n');
+                link.enqueue(line);
             }
         }
-        self.try_write_backend(i);
+        self.flush_backend(i);
     }
 
     /// Tears a backend down: every request in flight on (or queued for) the
@@ -1089,6 +840,7 @@ impl RouteLoop {
         if self.backends[i].link.take().is_none() {
             return;
         }
+        self.backends[i].wait.clear();
         self.backends[i].probe_outstanding = false;
         self.rebuild_ring();
         let message = format!("backend {} unavailable", self.backends[i].addr);
@@ -1107,11 +859,11 @@ impl RouteLoop {
                 }) => {
                     self.errors += 1;
                     let response = error_response(original_id.as_ref(), &message).render();
-                    if let Some(c) = self.clients.get_mut(&client) {
+                    if let Some(c) = self.clients.conns.get_mut(&client) {
                         c.in_flight = c.in_flight.saturating_sub(1);
                     }
                     self.enqueue_client(client, response);
-                    self.try_write_client(client);
+                    self.flush_client(client);
                 }
                 Some(Pending::BatchPart { batch, group, .. }) => {
                     self.errors += 1;
@@ -1146,7 +898,7 @@ impl RouteLoop {
                 self.drop_backend(i);
                 continue;
             }
-            if self.draining {
+            if self.clients.draining {
                 continue;
             }
             let internal = self.next_request;
@@ -1165,143 +917,28 @@ impl RouteLoop {
         }
     }
 
-    fn try_write_backend(&mut self, i: usize) {
-        let mut dead = false;
-        {
-            let Some(link) = self.backends[i].link.as_mut() else {
-                return;
-            };
-            while link.out_pos < link.out.len() {
-                match link.stream.write(&link.out[link.out_pos..]) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
-                    Ok(n) => link.out_pos += n,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            if link.out_pos >= link.out.len() {
-                link.out.clear();
-                link.out_pos = 0;
-            } else if link.out_pos > 4096 {
-                link.out.drain(..link.out_pos);
-                link.out_pos = 0;
-            }
-        }
-        if dead {
-            self.drop_backend(i);
-            return;
-        }
+    fn flush_backend(&mut self, i: usize) {
         let Some(link) = self.backends[i].link.as_mut() else {
             return;
         };
-        let mut want = EPOLLIN | EPOLLRDHUP;
-        if link.out.len() > link.out_pos {
-            want |= EPOLLOUT;
-        }
-        if want != link.interest {
-            link.interest = want;
-            let fd = link.stream.as_raw_fd();
-            self.poller.modify(fd, backend_token(i), want).ok();
+        if !link.flush(&self.poller, backend_token(i)) {
+            self.drop_backend(i);
         }
     }
 
     // ---- client output -------------------------------------------------
 
     fn enqueue_client(&mut self, token: u64, response: String) {
-        let Some(client) = self.clients.get_mut(&token) else {
+        if let Some(client) = self.clients.conns.get_mut(&token) {
+            client.enqueue(response);
+        }
+    }
+
+    fn flush_client(&mut self, token: u64) {
+        let Some(client) = self.clients.conns.get_mut(&token) else {
             return;
         };
-        if client.out_pos == client.out.len() {
-            client.out = response.into_bytes();
-            client.out_pos = 0;
-            client.out.push(b'\n');
-        } else {
-            client.out.extend_from_slice(response.as_bytes());
-            client.out.push(b'\n');
-        }
-    }
-
-    fn try_write_client(&mut self, token: u64) {
-        let mut dead = false;
-        {
-            let Some(client) = self.clients.get_mut(&token) else {
-                return;
-            };
-            while client.out_pos < client.out.len() {
-                match client.stream.write(&client.out[client.out_pos..]) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        client.out_pos += n;
-                        client.stalled_since = None;
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        if client.stalled_since.is_none() {
-                            client.stalled_since = Some(Instant::now());
-                        }
-                        break;
-                    }
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            if client.out_pos >= client.out.len() {
-                client.out.clear();
-                client.out_pos = 0;
-                client.stalled_since = None;
-            } else if client.out_pos > 4096 {
-                client.out.drain(..client.out_pos);
-                client.out_pos = 0;
-            }
-        }
-        if dead {
-            self.drop_client(token);
-            return;
-        }
-        self.update_client_interest(token);
-        self.maybe_close_client(token);
-    }
-
-    fn update_client_interest(&mut self, token: u64) {
-        let Some(client) = self.clients.get_mut(&token) else {
-            return;
-        };
-        let mut want = 0u32;
-        let reading = !client.read_closed
-            && !client.closing
-            && client.in_flight < MAX_PIPELINE
-            && client.out_pending() <= MAX_CONN_OUT_BYTES;
-        if reading {
-            want |= EPOLLIN | EPOLLRDHUP;
-        }
-        if client.out_pending() > 0 {
-            want |= EPOLLOUT;
-        }
-        if want != client.interest {
-            client.interest = want;
-            let fd = client.stream.as_raw_fd();
-            self.poller.modify(fd, token, want).ok();
-        }
-    }
-
-    fn maybe_close_client(&mut self, token: u64) {
-        let done = self
-            .clients
-            .get(&token)
-            .is_some_and(|c| c.closing && c.in_flight == 0 && c.out_pending() == 0);
-        if done {
+        if !client.flush(&self.poller, token) {
             self.drop_client(token);
         }
     }
@@ -1309,41 +946,15 @@ impl RouteLoop {
     fn drop_client(&mut self, token: u64) {
         // Responses still in flight for this client find no entry and are
         // discarded on arrival; batches complete and discard at enqueue.
-        self.clients.remove(&token);
-    }
-
-    fn enforce_write_deadlines(&mut self, now: Instant) {
-        let Some(limit) = self.write_timeout else {
-            return;
-        };
-        let stalled: Vec<u64> = self
-            .clients
-            .iter()
-            .filter(|(_, c)| {
-                c.stalled_since
-                    .is_some_and(|s| now.duration_since(s) >= limit)
-            })
-            .map(|(&t, _)| t)
-            .collect();
-        for token in stalled {
-            self.drop_client(token);
-        }
+        self.clients.conns.remove(&token);
     }
 
     fn begin_drain(&mut self) {
-        if self.draining {
+        if self.clients.draining {
             return;
         }
-        self.draining = true;
-        self.poller.deregister(self.listener.as_raw_fd()).ok();
-        let tokens: Vec<u64> = self.clients.keys().copied().collect();
-        for token in tokens {
-            if let Some(client) = self.clients.get_mut(&token) {
-                client.read_closed = true;
-                client.closing = true;
-            }
-            self.update_client_interest(token);
-            self.maybe_close_client(token);
+        for token in self.clients.drain(&self.poller) {
+            self.flush_client(token);
         }
     }
 
@@ -1361,7 +972,7 @@ impl RouteLoop {
                         "in_flight",
                         b.link
                             .as_ref()
-                            .map_or(0, |l| (l.in_flight + l.wait.len()) as u64),
+                            .map_or(0, |l| (l.in_flight + b.wait.len()) as u64),
                     )
                     .field("forwarded", b.forwarded)
                     .build()
@@ -1372,7 +983,7 @@ impl RouteLoop {
             .field("requests", self.requests)
             .field("errors", self.errors)
             .field("shed", self.shed)
-            .field("clients", self.clients.len() as u64)
+            .field("clients", self.clients.conns.len() as u64)
             .field("backends", backends)
             .build()
     }
@@ -1387,10 +998,27 @@ fn backend_index(token: u64, count: usize) -> Option<usize> {
     (i < count).then_some(i)
 }
 
-fn hash64<T: Hash>(value: &T) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    value.hash(&mut hasher);
-    hasher.finish()
+/// A ring position: FNV-1a 64 over `parts` through the SplitMix64
+/// finalizer, so inputs differing only in their last bytes still land far
+/// apart.
+fn placement_hash(parts: &[&[u8]]) -> u64 {
+    let mut hash = Fnv1a::new();
+    for part in parts {
+        hash.update(part);
+    }
+    SplitMix64::new(hash.finish()).next_u64()
+}
+
+/// The ring over `backends` (index and address each), sorted by point.
+fn ring_over<'a>(backends: impl Iterator<Item = (usize, &'a str)>) -> Vec<(u64, usize)> {
+    let mut ring: Vec<(u64, usize)> = backends
+        .flat_map(|(i, addr)| {
+            (0..RING_POINTS)
+                .map(move |point| (placement_hash(&[addr.as_bytes(), &point.to_le_bytes()]), i))
+        })
+        .collect();
+    ring.sort_unstable();
+    ring
 }
 
 /// The ring lookup: the first point clockwise from the key's hash, wrapping
@@ -1399,7 +1027,7 @@ fn route_on(ring: &[(u64, usize)], key: &str) -> Option<usize> {
     if ring.is_empty() {
         return None;
     }
-    let h = hash64(&key);
+    let h = placement_hash(&[key.as_bytes()]);
     let idx = ring.partition_point(|&(point, _)| point < h);
     Some(ring[idx % ring.len()].1)
 }
@@ -1432,29 +1060,12 @@ fn restore_id(doc: &mut Json, original: Option<Json>) {
     }
 }
 
-/// Best-effort structured refusal for a connection shed at the cap.
-fn refuse(mut stream: TcpStream) {
-    let response = error_response(
-        None,
-        "router overloaded: connection limit reached, retry later",
-    )
-    .render();
-    let _ = stream.write_all(format!("{response}\n").as_bytes());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn ring_of(addrs: &[&str]) -> Vec<(u64, usize)> {
-        let mut ring = Vec::new();
-        for (i, addr) in addrs.iter().enumerate() {
-            for point in 0..RING_POINTS {
-                ring.push((hash64(&(addr, point)), i));
-            }
-        }
-        ring.sort_unstable();
-        ring
+        ring_over(addrs.iter().copied().enumerate())
     }
 
     #[test]
@@ -1478,11 +1089,7 @@ mod tests {
         // The consistent-hashing property: keys that did not hash to the
         // removed backend keep their placement.
         let full = ring_of(&["a:1", "b:2", "c:3"]);
-        let without_c: Vec<(u64, usize)> = {
-            let mut ring = ring_of(&["a:1", "b:2"]);
-            ring.sort_unstable();
-            ring
-        };
+        let without_c = ring_of(&["a:1", "b:2"]);
         let mut moved = 0;
         for i in 0..512 {
             let key = format!("analyze|key-{i}");
@@ -1495,6 +1102,60 @@ mod tests {
             }
         }
         assert!(moved > 0, "some keys must have been on the removed backend");
+    }
+
+    /// Canonical-style keys that differ only in their trailing characters,
+    /// the shape that clusters on a ring without a finalizer.
+    fn trailing_keys(count: usize) -> Vec<String> {
+        (0..count)
+            .map(|i| {
+                format!("analyze|0001,0001,0001,0001|3fb999999999999a|3fb999999999999a|{i:016x}")
+            })
+            .collect()
+    }
+
+    const FLEET: [&str; 4] = [
+        "127.0.0.1:4518",
+        "127.0.0.1:4519",
+        "127.0.0.1:4520",
+        "127.0.0.1:4521",
+    ];
+
+    #[test]
+    fn placement_is_pinned_for_fixed_addresses_and_keys() {
+        // Placement is part of the fleet's contract: a key must land where
+        // its warm cache and snapshot are, on every build. These indices
+        // (reproduced by an independent FNV-1a 64 + SplitMix64 model) may
+        // only change together with a documented move of every key.
+        let ring = ring_of(&FLEET[..3]);
+        let placed: Vec<usize> = trailing_keys(16)
+            .iter()
+            .chain(&["simulate.mc|20000|7|1|x".to_owned(), String::new()])
+            .map(|key| route_on(&ring, key).expect("non-empty ring"))
+            .collect();
+        assert_eq!(
+            placed,
+            [1, 0, 0, 1, 2, 0, 2, 2, 1, 2, 2, 2, 1, 0, 1, 0, 0, 1]
+        );
+    }
+
+    #[test]
+    fn keys_differing_only_at_the_end_spread_evenly() {
+        let keys = trailing_keys(20_000);
+        for n in 2..=FLEET.len() {
+            let ring = ring_of(&FLEET[..n]);
+            let mut counts = vec![0usize; n];
+            for key in &keys {
+                counts[route_on(&ring, key).expect("non-empty ring")] += 1;
+            }
+            for &count in &counts {
+                let share = count as f64 / keys.len() as f64;
+                assert!(
+                    (share - 1.0 / n as f64).abs() <= 0.1,
+                    "{n} backends split {counts:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1525,18 +1186,6 @@ mod tests {
         restore_id(&mut doc, None);
         assert!(doc.get("id").is_none());
         assert_eq!(doc.render(), r#"{"kind":"stats"}"#);
-    }
-
-    #[test]
-    fn line_buf_enforces_the_limit_in_stream() {
-        let mut buf = LineBuf::default();
-        let mut out = Vec::new();
-        let long = "y".repeat(64);
-        buf.feed(format!("{long}\nok\n").as_bytes(), 16, &mut out);
-        assert_eq!(out.len(), 2);
-        assert!(matches!(out[0], RawLine::TooLong { bytes: 64 }));
-        assert!(matches!(&out[1], RawLine::Line(l) if l == "ok"));
-        assert!(buf.line.is_empty(), "overflow must not retain bytes");
     }
 
     #[test]

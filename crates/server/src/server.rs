@@ -20,8 +20,9 @@
 //! Every per-connection resource is bounded:
 //!
 //! * request lines are length-limited **while being read** — a newline-free
-//!   flood is discarded as it streams in (memory stays bounded by the
-//!   `BufReader` block size) and answered with a structured error;
+//!   flood is discarded as it streams in (memory stays bounded by one
+//!   limit-sized line; see the `conn` module) and answered with a
+//!   structured error;
 //! * idle connections are subject to a read deadline and stalled writers to
 //!   a write deadline, so a dead peer can never pin a thread;
 //! * concurrent connections are capped — connections beyond the cap get a
@@ -49,14 +50,15 @@ use sealpaa_cells::StandardCell;
 
 use crate::cache::ResultCache;
 use crate::canonical::cache_key;
+use crate::conn::{LineEvent, LineFramer};
 use crate::json::Json;
 use crate::metrics::{kind_index, Metrics, KIND_NAMES};
 use crate::pool::WorkerPool;
 use crate::protocol::{
-    body_from_doc, error_response, json_equal_ignoring_id, ok_response, render_batch_ok_response,
-    render_ok_response, write_sub_ok_response, AdderSpec, BatchBody, BatchSpec, BlocksSpec,
-    DatapathSpec, DatapathTopology, DseSpec, GearSpec, ProfileSource, ProfileSpec, RequestBody,
-    SimMode, SimulateSpec, MAX_LINE_BYTES,
+    body_from_doc, error_response, ok_response, render_batch_ok_response, render_ok_response,
+    write_sub_ok_response, AdderSpec, BatchBody, BatchSpec, BlocksSpec, DatapathSpec,
+    DatapathTopology, DseSpec, GearSpec, ProfileSource, ProfileSpec, RequestBody, SimMode,
+    SimulateSpec, MAX_LINE_BYTES,
 };
 use crate::snapshot::{read_snapshot, write_snapshot, SnapshotError, SnapshotLimits};
 
@@ -600,80 +602,6 @@ fn run_stdio_inner<R: BufRead, W: Write>(
     served
 }
 
-/// One bounded read from the line stream.
-enum BoundedLine {
-    /// A complete line (without its newline), valid UTF-8, within the limit.
-    Line(String),
-    /// The line ran past the limit; the excess was discarded as it streamed
-    /// in. `bytes` is the full observed length.
-    TooLong { bytes: usize },
-    /// The line fit but is not valid UTF-8.
-    InvalidUtf8 { bytes: usize },
-    /// The read deadline expired before a complete line arrived.
-    TimedOut,
-    /// Clean end of input.
-    Eof,
-}
-
-/// Reads one `\n`-terminated line, enforcing `max` bytes *during* the read:
-/// once a line overflows, its bytes are discarded as they arrive (memory
-/// stays bounded by the reader's internal block) and the stream is resynced
-/// at the next newline.
-fn read_bounded_line<R: BufRead>(input: &mut R, max: usize) -> std::io::Result<BoundedLine> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut total = 0usize;
-    let mut overflowed = false;
-    loop {
-        let available = match input.fill_buf() {
-            Ok(available) => available,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                return Ok(BoundedLine::TimedOut)
-            }
-            Err(e) => return Err(e),
-        };
-        if available.is_empty() {
-            // End of input; a final unterminated line still counts.
-            return Ok(if overflowed {
-                BoundedLine::TooLong { bytes: total }
-            } else if buf.is_empty() {
-                BoundedLine::Eof
-            } else {
-                finish_line(buf, total)
-            });
-        }
-        let (consumed, done) = match available.iter().position(|&b| b == b'\n') {
-            Some(i) => (i + 1, Some(i)),
-            None => (available.len(), None),
-        };
-        let chunk = &available[..done.unwrap_or(consumed)];
-        total += chunk.len();
-        if !overflowed {
-            if total <= max {
-                buf.extend_from_slice(chunk);
-            } else {
-                overflowed = true;
-                buf = Vec::new(); // free what was gathered so far
-            }
-        }
-        input.consume(consumed);
-        if done.is_some() {
-            return Ok(if overflowed {
-                BoundedLine::TooLong { bytes: total }
-            } else {
-                finish_line(buf, total)
-            });
-        }
-    }
-}
-
-fn finish_line(buf: Vec<u8>, bytes: usize) -> BoundedLine {
-    match String::from_utf8(buf) {
-        Ok(line) => BoundedLine::Line(line),
-        Err(_) => BoundedLine::InvalidUtf8 { bytes },
-    }
-}
-
 /// The outcome of serving one request line — everything the transport loop
 /// needs for the response, the access log, and flow control.
 pub(crate) struct Served {
@@ -700,64 +628,51 @@ impl Served {
     }
 }
 
+/// The answer to a connection that sent no complete request line within
+/// the idle deadline, just before it is closed.
+pub(crate) const IDLE_TIMEOUT: &str = "idle timeout: no complete request within the read deadline";
+
 /// The per-connection loop shared by TCP and stdio transports.
 fn serve_lines<R: BufRead, W: Write>(
     state: &Arc<ServerState>,
     mut input: R,
     output: &mut W,
 ) -> std::io::Result<()> {
-    let mut memo = LineMemo::default();
-    // A read error (reset/closed socket) just ends this connection.
-    while let Ok(read) = read_bounded_line(&mut input, state.max_line_bytes) {
-        match read {
-            BoundedLine::Eof => break,
-            BoundedLine::TimedOut => {
+    let mut framer = LineFramer::new(state.max_line_bytes);
+    loop {
+        let event = match framer.read_from(&mut input) {
+            Ok(Some(event)) => event,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 state.metrics.record_timeout();
-                let message = "idle timeout: no complete request within the read deadline";
                 // Best effort — the stalled peer may never read it.
-                let response = error_response(None, message).render();
+                let response = error_response(None, IDLE_TIMEOUT).render();
                 let _ = writeln!(output, "{response}").and_then(|()| output.flush());
-                trace_request(state, None, false, false, 0, Some(message));
+                trace_request(state, None, false, false, 0, Some(IDLE_TIMEOUT));
                 break;
             }
-            BoundedLine::TooLong { bytes } => {
-                state.metrics.record_error(None);
-                let message = format!(
-                    "request of {bytes} bytes exceeds the {} byte line limit",
-                    state.max_line_bytes
-                );
-                write_response(state, output, &error_response(None, &message).render())?;
-                trace_request(state, None, false, false, bytes, Some(&message));
-                // The stream is already resynced at the newline; keep serving.
-            }
-            BoundedLine::InvalidUtf8 { bytes } => {
-                state.metrics.record_error(None);
-                let message = "request line is not valid UTF-8";
-                let response = error_response(None, message).render();
-                let _ = writeln!(output, "{response}").and_then(|()| output.flush());
-                trace_request(state, None, false, false, bytes, Some(message));
-                // A binary peer won't speak the protocol from here on.
-                break;
-            }
-            BoundedLine::Line(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let served = process_line(state, &line, &mut memo);
-                write_response(state, output, &served.response)?;
-                trace_request(
-                    state,
-                    served.kind,
-                    served.ok,
-                    served.cached,
-                    line.len(),
-                    served.error.as_deref(),
-                );
-                if served.shutdown {
-                    state.shutdown.store(true, Ordering::SeqCst);
-                    break;
-                }
-            }
+            // End of input, or a read error (reset/closed socket), just ends
+            // this connection.
+            Ok(None) | Err(_) => break,
+        };
+        let Some(action) = classify_event(state, &event) else {
+            continue;
+        };
+        let served = run_blocking(state, action);
+        write_response(state, output, &served.response)?;
+        trace_request(
+            state,
+            served.kind,
+            served.ok,
+            served.cached,
+            event.bytes(),
+            served.error.as_deref(),
+        );
+        if served.shutdown {
+            state.shutdown.store(true, Ordering::SeqCst);
+            break;
+        }
+        if event.ends_input() {
+            break;
         }
     }
     Ok(())
@@ -808,102 +723,47 @@ pub(crate) fn trace_request(
     let _ = out.flush();
 }
 
-/// What the transport loop should do with one parsed request line: answer
-/// immediately, or hand work to the pool first. Produced by
-/// [`classify_line`], shared by the blocking loop (which computes in place)
-/// and the event loop (which pipelines).
+/// Pool work that answers one request: it runs on a worker, settles the
+/// cache and the metrics, and renders the response.
+pub(crate) type Work = Box<dyn FnOnce(&ServerState) -> Served + Send>;
+
+/// What a serving loop does with one framed event: answer immediately, or
+/// hand work to the pool first. Produced by [`classify_event`], shared by
+/// the blocking loop (which waits for the work) and the event loop (which
+/// pipelines it).
 pub(crate) enum LineAction {
-    /// The response is ready now (parse error, control request, cache hit).
+    /// The response is ready now (a refused line, a parse error, a control
+    /// request, a cache hit, a batch answered wholly from the cache).
     Respond(Served),
-    /// One analysis must run on a worker; finish with [`finish_compute`].
-    Compute {
+    /// An analysis, or a batch's cache misses, must run on a worker. `id`
+    /// and `kind` answer for the request should the pool refuse the job.
+    Work {
         id: Option<Json>,
         kind: &'static str,
-        body: RequestBody,
-        key: Option<String>,
-        started: Instant,
-    },
-    /// A batch whose unique cache misses must run on a worker; finish with
-    /// [`finish_batch`].
-    Batch {
-        id: Option<Json>,
-        plan: BatchPlan,
-        started: Instant,
+        work: Work,
     },
 }
 
-/// Entries held in one connection's hot tier — small on purpose: it serves
-/// the repeated-configuration locality of one client (pipelined sweeps,
-/// polling dashboards), not the whole working set.
-const HOT_CACHE_ENTRIES: usize = 8;
-
-/// One connection's two-level front cache over the shared LRU.
-///
-/// The **request memo** (`hit`) remembers the most recent cache-hit request
-/// as its raw document: pipelined sweeps fan one configuration out under
-/// many ids, and when the next line is identical apart from `id` the
-/// resolution is replayed without building a spec or canonicalizing a key.
-/// The **hot tier** (`hot`) keeps the rendered payloads of the connection's
-/// last few cache hits by canonical key, so a client alternating between a
-/// handful of configurations is answered from connection-local memory
-/// instead of re-reading a shared cache shard.
-///
-/// Neither level is allowed to drift from the shared cache: a local copy is
-/// only replayed as `"cached":true` after [`ResultCache::touch`] confirms
-/// the key is still resident (which also counts the hit and refreshes its
-/// recency, keeping the counters consistent with the responses). When the
-/// shared cache has evicted the entry, the local copies are discarded and
-/// the request honestly recomputes.
-#[derive(Default)]
-pub(crate) struct LineMemo {
-    /// `(request document, kind, canonical key)` of the latest cache hit.
-    hit: Option<(Json, &'static str, String)>,
-    /// Canonical key → rendered result payload, most recently used last.
-    hot: Vec<(String, String)>,
-}
-
-impl LineMemo {
-    /// The hot-tier payload for `key`, refreshing its recency.
-    fn hot_value(&mut self, key: &str) -> Option<String> {
-        let i = self.hot.iter().position(|(k, _)| k == key)?;
-        let entry = self.hot.remove(i);
-        let value = entry.1.clone();
-        self.hot.push(entry);
-        Some(value)
+/// Triages one framed event: a blank line is skipped (`None`), a line the
+/// framer refused is answered with its structured error, and a request line
+/// goes to [`classify_line`].
+pub(crate) fn classify_event(state: &ServerState, event: &LineEvent) -> Option<LineAction> {
+    if let LineEvent::Line(line) = event {
+        return (!line.trim().is_empty()).then(|| classify_line(state, line));
     }
-
-    /// Stores `key -> rendered` in the hot tier, evicting the least
-    /// recently used entry beyond [`HOT_CACHE_ENTRIES`].
-    fn hot_put(&mut self, key: String, rendered: String) {
-        self.hot.retain(|(k, _)| *k != key);
-        self.hot.push((key, rendered));
-        if self.hot.len() > HOT_CACHE_ENTRIES {
-            self.hot.remove(0);
-        }
-    }
-
-    /// Drops every local copy of `key` — called when the shared cache no
-    /// longer holds it, so stale local state can never resurface as a
-    /// phantom `"cached":true`.
-    fn forget(&mut self, key: &str) {
-        self.hot.retain(|(k, _)| k != key);
-        if matches!(&self.hit, Some((_, _, k)) if k == key) {
-            self.hit = None;
-        }
-    }
-
-    /// Records a fresh shared-cache hit in both levels.
-    fn remember(&mut self, doc: Json, kind: &'static str, key: String, rendered: String) {
-        self.hot_put(key.clone(), rendered);
-        self.hit = Some((doc, kind, key));
-    }
+    let message = event.rejection(state.max_line_bytes)?;
+    state.metrics.record_error(None);
+    Some(LineAction::Respond(Served::failure(
+        error_response(None, &message).render(),
+        None,
+        message,
+    )))
 }
 
 /// Parses and triages one request line: everything except actual analysis
-/// work happens here (parse salvage, the request memo, control requests,
-/// the cache probe, and batch planning), so both transports share one
-/// protocol brain. `memo` is the connection's [`LineMemo`].
-pub(crate) fn classify_line(state: &ServerState, line: &str, memo: &mut LineMemo) -> LineAction {
+/// work happens here (parse salvage, control requests, the cache probe, and
+/// batch planning), so both transports share one protocol brain.
+fn classify_line(state: &ServerState, line: &str) -> LineAction {
     let started = Instant::now();
     let fail = |message: String, doc: Option<&Json>| {
         // The id — and the kind, for attribution — are worth salvaging
@@ -933,37 +793,6 @@ pub(crate) fn classify_line(state: &ServerState, line: &str, memo: &mut LineMemo
     };
     if !matches!(doc, Json::Object(_)) {
         return fail("a request must be a JSON object".to_owned(), Some(&doc));
-    }
-
-    // The request memo: an identical line (apart from `id`) replays the
-    // previous resolution — but only after revalidating that the shared
-    // cache still holds the key, so an evicted entry is recomputed instead
-    // of being reported `"cached":true` against disagreeing counters.
-    let replay = memo.hit.as_ref().and_then(|(prev, kind, key)| {
-        json_equal_ignoring_id(&doc, prev).then(|| (*kind, key.clone()))
-    });
-    if let Some((kind, key)) = replay {
-        match memo.hot_value(&key) {
-            Some(rendered) if state.cache.touch(&key) => {
-                let id = doc.get("id").cloned();
-                state.metrics.record_hot_hit();
-                let micros = started.elapsed().as_micros() as u64;
-                state.metrics.record_ok(kind, micros);
-                return LineAction::Respond(Served {
-                    response: render_ok_response(id.as_ref(), kind, true, micros, &rendered),
-                    shutdown: false,
-                    kind: Some(kind),
-                    ok: true,
-                    cached: true,
-                    error: None,
-                });
-            }
-            // Evicted from the shared cache (or gone from the hot tier):
-            // drop the stale local state and fall through to the full path,
-            // which counts its own hot miss and cache probe.
-            Some(_) => memo.forget(&key),
-            None => memo.hit = None,
-        }
     }
 
     let body = match body_from_doc(&doc) {
@@ -1009,62 +838,48 @@ pub(crate) fn classify_line(state: &ServerState, line: &str, memo: &mut LineMemo
             if plan.jobs.is_empty() {
                 // Every item was a cache hit or a per-item error — no
                 // worker needed.
-                let all_cached = plan.all_cached;
                 return LineAction::Respond(finish_batch(
                     state,
                     id.as_ref(),
-                    plan.slots,
-                    &plan.payloads,
-                    all_cached,
+                    plan,
                     Vec::new(),
                     started,
                 ));
             }
-            return LineAction::Batch { id, plan, started };
+            return LineAction::Work {
+                id: id.clone(),
+                kind,
+                work: Box::new(move |state| {
+                    let results = run_batch_jobs(&state.cache, &plan.jobs);
+                    finish_batch(state, id.as_ref(), plan, results, started)
+                }),
+            };
         }
         _ => {}
     }
 
     let key = cache_key(&body);
-    if let Some(key) = &key {
-        // The hot tier first: a payload this connection recently replayed,
-        // revalidated against the shared cache before it may be served.
-        if let Some(rendered) = memo.hot_value(key) {
-            if state.cache.touch(key) {
-                state.metrics.record_hot_hit();
-                let micros = started.elapsed().as_micros() as u64;
-                state.metrics.record_ok(kind, micros);
-                let response = render_ok_response(id.as_ref(), kind, true, micros, &rendered);
-                memo.hit = Some((doc, kind, key.clone()));
-                return LineAction::Respond(success(response, true, false));
-            }
-            memo.forget(key);
-        }
-        state.metrics.record_hot_miss();
-        if let Some(rendered) = state.cache.get(key) {
-            // The cache holds the rendered result payload; splice it into
-            // the envelope directly — no parse, no tree, no re-render.
-            let micros = started.elapsed().as_micros() as u64;
-            state.metrics.record_ok(kind, micros);
-            let response = render_ok_response(id.as_ref(), kind, true, micros, &rendered);
-            // Remember the resolution so an identical follow-up line (a
-            // pipelined sweep under fresh ids) replays it wholesale.
-            memo.remember(doc, kind, key.clone(), rendered);
-            return LineAction::Respond(success(response, true, false));
-        }
+    if let Some(rendered) = key.as_deref().and_then(|key| state.cache.get(key)) {
+        // The cache holds the rendered result payload; splice it into the
+        // envelope directly — no parse, no tree, no re-render.
+        let micros = started.elapsed().as_micros() as u64;
+        state.metrics.record_ok(kind, micros);
+        let response = render_ok_response(id.as_ref(), kind, true, micros, &rendered);
+        return LineAction::Respond(success(response, true, false));
     }
-    LineAction::Compute {
-        id,
+    LineAction::Work {
+        id: id.clone(),
         kind,
-        body,
-        key,
-        started,
+        work: Box::new(move |state| {
+            let outcome = compute_result(&body);
+            finish_compute(state, id.as_ref(), kind, key, started, outcome)
+        }),
     }
 }
 
-/// Settles a [`LineAction::Compute`] once its analysis has run (or failed
-/// to): caches a keyed success, updates metrics, renders the response.
-pub(crate) fn finish_compute(
+/// Settles one analysis once it has run (or failed to): caches a keyed
+/// success, updates metrics, renders the response.
+fn finish_compute(
     state: &ServerState,
     id: Option<&Json>,
     kind: &'static str,
@@ -1097,18 +912,18 @@ pub(crate) fn finish_compute(
 
 /// One planned batch: per-item response slots plus the deduplicated compute
 /// jobs that must run to fill the pending ones.
-pub(crate) struct BatchPlan {
-    pub(crate) slots: Vec<BatchSlot>,
-    pub(crate) jobs: Vec<BatchJob>,
+struct BatchPlan {
+    slots: Vec<BatchSlot>,
+    jobs: Vec<BatchJob>,
     /// Rendered result payloads answered from the cache, indexed by
     /// [`BatchSlot::Hit`] — stored once no matter how many items share one.
-    pub(crate) payloads: Vec<String>,
+    payloads: Vec<String>,
     /// Every parseable item was answered from the cache.
-    pub(crate) all_cached: bool,
+    all_cached: bool,
 }
 
 /// One batch item's response, either already known or waiting on a job.
-pub(crate) enum BatchSlot {
+enum BatchSlot {
     /// Rendered sub-response (a per-item parse error).
     Ready(String),
     /// A cache hit: the sub-response envelope is spliced around
@@ -1128,7 +943,7 @@ pub(crate) enum BatchSlot {
 }
 
 /// One deduplicated unit of batch work.
-pub(crate) struct BatchJob {
+struct BatchJob {
     body: RequestBody,
     key: Option<String>,
 }
@@ -1150,7 +965,7 @@ enum ItemFate {
 /// Plans a batch against the cache: exactly one cache probe per *unique*
 /// canonical key, so N identical sub-requests cost one lookup and (on miss)
 /// one compute shared by all N.
-pub(crate) fn plan_batch(cache: &ResultCache, spec: BatchSpec) -> BatchPlan {
+fn plan_batch(cache: &ResultCache, spec: BatchSpec) -> BatchPlan {
     let mut slots = Vec::with_capacity(spec.items.len());
     let mut jobs: Vec<BatchJob> = Vec::new();
     let mut payloads: Vec<String> = Vec::new();
@@ -1294,10 +1109,7 @@ pub(crate) fn plan_batch(cache: &ResultCache, spec: BatchSpec) -> BatchPlan {
 /// Runs a plan's deduplicated jobs (on a pool worker), caching keyed
 /// successes. One entry per job, in job order: the rendered result payload
 /// on success (rendered once, shared by every duplicate slot).
-pub(crate) fn run_batch_jobs(
-    cache: &ResultCache,
-    jobs: &[BatchJob],
-) -> Vec<Result<String, String>> {
+fn run_batch_jobs(cache: &ResultCache, jobs: &[BatchJob]) -> Vec<Result<String, String>> {
     jobs.iter()
         .map(|job| match compute_result(&job.body) {
             Ok(result) => {
@@ -1314,15 +1126,19 @@ pub(crate) fn run_batch_jobs(
 
 /// Assembles the batch response once every job has run: pending slots are
 /// filled from `results` (shared jobs fan out to every duplicate item).
-pub(crate) fn finish_batch(
+fn finish_batch(
     state: &ServerState,
     id: Option<&Json>,
-    slots: Vec<BatchSlot>,
-    payloads: &[String],
-    all_cached: bool,
+    plan: BatchPlan,
     results: Vec<Result<String, String>>,
     started: Instant,
 ) -> Served {
+    let BatchPlan {
+        slots,
+        payloads,
+        all_cached,
+        ..
+    } = plan;
     let computed = results.len() as u64;
     let count = slots.len() as u64;
     // Cache hits and computed results are already rendered payload strings;
@@ -1366,76 +1182,32 @@ pub(crate) fn finish_batch(
     }
 }
 
-/// Serves one request line, blocking through the pool — the threads/stdio
-/// path. The blocking `submit` (bounded queue) and the blocking `recv` are
-/// the backpressure that keeps a flooding client on its own socket.
-fn process_line(state: &Arc<ServerState>, line: &str, memo: &mut LineMemo) -> Served {
-    match classify_line(state, line, memo) {
-        LineAction::Respond(served) => served,
-        LineAction::Compute {
-            id,
-            kind,
-            body,
-            key,
-            started,
-        } => {
-            state.metrics.record_pipeline_depth(1);
-            let (tx, rx) = mpsc::channel::<Result<Json, String>>();
-            let submitted = state.pool.submit(Box::new(move || {
-                tx.send(compute_result(&body)).ok();
-            }));
-            let outcome = if submitted.is_err() {
-                Err("server is shutting down".to_owned())
-            } else {
-                rx.recv()
-                    .unwrap_or_else(|_| Err("worker dropped the job".to_owned()))
-            };
-            finish_compute(state, id.as_ref(), kind, key, started, outcome)
-        }
-        LineAction::Batch { id, plan, started } => {
-            state.metrics.record_pipeline_depth(1);
-            let BatchPlan {
-                slots,
-                jobs,
-                payloads,
-                all_cached,
-            } = plan;
-            let (tx, rx) = mpsc::channel::<Vec<Result<String, String>>>();
-            let worker_state = Arc::clone(state);
-            let submitted = state.pool.submit(Box::new(move || {
-                tx.send(run_batch_jobs(&worker_state.cache, &jobs)).ok();
-            }));
-            if submitted.is_err() {
-                let message = "server is shutting down".to_owned();
-                state.metrics.record_error(Some("batch"));
-                return Served::failure(
-                    error_response(id.as_ref(), &message).render(),
-                    Some("batch"),
-                    message,
-                );
-            }
-            match rx.recv() {
-                Ok(results) => finish_batch(
-                    state,
-                    id.as_ref(),
-                    slots,
-                    &payloads,
-                    all_cached,
-                    results,
-                    started,
-                ),
-                Err(_) => {
-                    let message = "worker dropped the job".to_owned();
-                    state.metrics.record_error(Some("batch"));
-                    Served::failure(
-                        error_response(id.as_ref(), &message).render(),
-                        Some("batch"),
-                        message,
-                    )
-                }
-            }
-        }
-    }
+/// Answers one action on the calling thread — the threads/stdio path. The
+/// blocking `submit` (bounded queue) and the blocking `recv` are the
+/// backpressure that keeps a flooding client on its own socket.
+fn run_blocking(state: &Arc<ServerState>, action: LineAction) -> Served {
+    let (id, kind, work) = match action {
+        LineAction::Respond(served) => return served,
+        LineAction::Work { id, kind, work } => (id, kind, work),
+    };
+    state.metrics.record_pipeline_depth(1);
+    let (tx, rx) = mpsc::channel();
+    let worker_state = Arc::clone(state);
+    let answered = state
+        .pool
+        .submit(Box::new(move || {
+            tx.send(work(&worker_state)).ok();
+        }))
+        .map_err(|_| "server is shutting down")
+        .and_then(|()| rx.recv().map_err(|_| "worker dropped the job"));
+    answered.unwrap_or_else(|message| {
+        state.metrics.record_error(Some(kind));
+        Served::failure(
+            error_response(id.as_ref(), message).render(),
+            Some(kind),
+            message.to_owned(),
+        )
+    })
 }
 
 fn stats_result(state: &ServerState) -> Json {
@@ -1497,18 +1269,13 @@ fn stats_result(state: &ServerState) -> Json {
                 .field("misses", cache.misses)
                 .field("evictions", cache.evictions)
                 .field("entries", cache.entries as u64)
-                // The per-connection hot tier in front of the shared LRU.
-                // Hot hits are a subset of `hits` (each is revalidated
-                // against — and counted by — the shared cache).
-                .field("hot_hits", metrics.hot_hits)
-                .field("hot_misses", metrics.hot_misses)
                 .build(),
         )
         .build()
 }
 
 /// Runs the engine for one queued request kind and renders its result.
-pub(crate) fn compute_result(body: &RequestBody) -> Result<Json, String> {
+fn compute_result(body: &RequestBody) -> Result<Json, String> {
     match body {
         RequestBody::Analyze(spec) => analyze_result(spec),
         RequestBody::Simulate(spec) => simulate_result(spec),
@@ -1977,9 +1744,7 @@ mod tests {
 
     #[test]
     fn eviction_between_identical_requests_is_never_reported_as_cached() {
-        // Regression: the per-connection replay path used to report
-        // `"cached":true` (and count a hit) from its local copy even after
-        // the sharded LRU had evicted the entry. Fill the cache far past
+        // Cache transparency across an eviction: fill the cache far past
         // capacity between two identical requests; the second must honestly
         // recompute, and the counters must agree with the responses.
         let config = ServerConfig {
@@ -1991,7 +1756,7 @@ mod tests {
         let target = "{\"kind\":\"analyze\",\"width\":4,\"cell\":\"lpaa2\",\"p\":0.25}\n";
         let mut input = String::new();
         input.push_str(target);
-        input.push_str(target); // replayed from the memo while still resident
+        input.push_str(target); // a hit while still resident
                                 // 200 distinct keys against 16 one-entry shards: the sweep displaces
                                 // every shard's resident entry regardless of how keys hash.
         for i in 1..=200 {
@@ -2006,10 +1771,10 @@ mod tests {
         assert_eq!(responses.len(), 204);
         let cached_of = |r: &Json| r.get("cached").and_then(Json::as_bool).expect("cached");
         assert!(!cached_of(&responses[0]), "first compute");
-        assert!(cached_of(&responses[1]), "replay while still resident");
+        assert!(cached_of(&responses[1]), "a hit while still resident");
         assert!(
             !cached_of(&responses[202]),
-            "after eviction the replay path must recompute, not report cached"
+            "after eviction the request must recompute, not report cached"
         );
         assert_eq!(
             responses[202].get("result"),
@@ -2033,33 +1798,6 @@ mod tests {
             cache.get("evictions").and_then(Json::as_u64).expect("ev") > 0,
             "the sweep must actually have evicted"
         );
-    }
-
-    #[test]
-    fn hot_tier_hits_are_counted_and_stay_within_shared_hits() {
-        // Alternate between two configurations: after each config's first
-        // shared-cache hit, later repeats are served from the connection's
-        // hot tier (and still revalidated + counted as shared hits).
-        let a = "{\"kind\":\"analyze\",\"width\":4,\"cell\":\"lpaa2\"}\n";
-        let b = "{\"kind\":\"analyze\",\"width\":6,\"cell\":\"lpaa1\"}\n";
-        let input = format!("{a}{b}{a}{b}{a}{b}{a}{b}{{\"kind\":\"stats\"}}\n");
-        let responses = run_lines(&ServerConfig::default(), &input);
-        assert_eq!(responses.len(), 9);
-        let stats = responses[8].get("result").expect("stats result");
-        let cache = stats.get("cache").expect("cache stats");
-        let hits = cache.get("hits").and_then(Json::as_u64).expect("hits");
-        let hot_hits = cache.get("hot_hits").and_then(Json::as_u64).expect("hot");
-        let hot_misses = cache
-            .get("hot_misses")
-            .and_then(Json::as_u64)
-            .expect("hot misses");
-        assert_eq!(hits, 6, "six repeats served cached");
-        // The first repeat of each config comes from the shared cache (hot
-        // miss, filling the hot tier); the remaining four replays come from
-        // the hot tier.
-        assert_eq!(hot_hits, 4);
-        assert_eq!(hot_misses, 4, "two first requests + two first repeats");
-        assert!(hot_hits <= hits, "every hot hit is also a shared hit");
     }
 
     #[test]
@@ -2231,14 +1969,7 @@ mod tests {
             );
         }
         let cache = stats.get("cache").expect("cache stats");
-        for field in [
-            "hits",
-            "misses",
-            "evictions",
-            "entries",
-            "hot_hits",
-            "hot_misses",
-        ] {
+        for field in ["hits", "misses", "evictions", "entries"] {
             assert!(
                 cache.get(field).and_then(Json::as_u64).is_some(),
                 "missing cache.{field}"
@@ -2360,47 +2091,6 @@ mod tests {
         // Byte-reproducible: a replayed session emits the identical trace
         // (no timestamps, no latencies).
         assert_eq!(trace, run_once());
-    }
-
-    #[test]
-    fn bounded_reader_handles_limits_partial_lines_and_eof() {
-        let mut input = Cursor::new(b"short\nexactly8\ntoolongline\ntail".to_vec());
-        match read_bounded_line(&mut input, 8).expect("read") {
-            BoundedLine::Line(l) => assert_eq!(l, "short"),
-            _ => panic!("expected a line"),
-        }
-        match read_bounded_line(&mut input, 8).expect("read") {
-            BoundedLine::Line(l) => assert_eq!(l, "exactly8"),
-            _ => panic!("a line of exactly the limit fits"),
-        }
-        match read_bounded_line(&mut input, 8).expect("read") {
-            BoundedLine::TooLong { bytes } => assert_eq!(bytes, 11),
-            _ => panic!("expected overflow"),
-        }
-        match read_bounded_line(&mut input, 8).expect("read") {
-            BoundedLine::Line(l) => assert_eq!(l, "tail", "final unterminated line"),
-            _ => panic!("expected the tail"),
-        }
-        assert!(matches!(
-            read_bounded_line(&mut input, 8).expect("read"),
-            BoundedLine::Eof
-        ));
-    }
-
-    #[test]
-    fn bounded_reader_discards_oversized_data_in_small_chunks() {
-        // A newline-free flood much larger than the limit: the reader must
-        // keep consuming (resync) without accumulating the flood.
-        let flood = vec![b'x'; 1 << 20];
-        let mut input = std::io::BufReader::with_capacity(512, Cursor::new(flood));
-        match read_bounded_line(&mut input, 4096).expect("read") {
-            BoundedLine::TooLong { bytes } => assert_eq!(bytes, 1 << 20),
-            _ => panic!("expected overflow"),
-        }
-        assert!(matches!(
-            read_bounded_line(&mut input, 4096).expect("read"),
-            BoundedLine::Eof
-        ));
     }
 
     #[test]

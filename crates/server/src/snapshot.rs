@@ -36,37 +36,13 @@ use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
+use crate::fnv::Fnv1a;
+
 /// File magic: **S**eal**P**aa **C**ache **S**napshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SPCS";
 
 /// Current format version.
 pub const SNAPSHOT_VERSION: u8 = 1;
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incrementally folds bytes into an FNV-1a 64 checksum.
-#[derive(Clone, Copy)]
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Fnv1a {
-        Fnv1a(FNV_OFFSET)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
 
 /// Bounds enforced while reading a snapshot, before any allocation sized by
 /// file contents.

@@ -9,6 +9,7 @@
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 use sealpaa_server::json::Json;
@@ -28,7 +29,27 @@ fn models() -> Vec<IoModel> {
     }
 }
 
+/// The churn tests count this process's threads, which every other test's
+/// servers (and their connection threads) would inflate while running in
+/// parallel. So the churn tests hold this lock for writing, and every other
+/// test in the binary holds it for reading. It guards no data, so a test
+/// that panicked while holding it leaves nothing half-updated and the
+/// poisoned guard is safe to take.
+static THREAD_COUNT: RwLock<()> = RwLock::new(());
+
+/// Shared access for a test that does not count threads.
+fn shared() -> RwLockReadGuard<'static, ()> {
+    THREAD_COUNT.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Sole access for a test that counts threads.
+#[cfg(target_os = "linux")]
+fn exclusive() -> std::sync::RwLockWriteGuard<'static, ()> {
+    THREAD_COUNT.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn for_each_model(scenario: impl Fn(IoModel)) {
+    let _counting = shared();
     for model in models() {
         scenario(model);
     }
@@ -437,6 +458,7 @@ fn thread_count() -> usize {
 /// Connections must cost registry entries, never threads.
 #[cfg(target_os = "linux")]
 fn event_churn(held: usize, cycled: usize) {
+    let _counting = exclusive();
     let (addr, handle) = spawn_server(ServerConfig {
         max_connections: held + 64,
         io_model: IoModel::Event,
@@ -495,6 +517,7 @@ fn killed_slow_reader_releases_pending_write_bytes() {
     if !models().iter().any(|m| matches!(m, IoModel::Event)) {
         return;
     }
+    let _counting = shared();
     let (addr, handle) = spawn_server(ServerConfig {
         write_timeout_ms: 5_000,
         io_model: IoModel::Event,

@@ -32,6 +32,10 @@ run cargo test -q
 # The rest of the workspace (every crate's unit, integration and doc tests).
 run cargo test --workspace -q
 
+# The benchmark crate is its own workspace but compiles against the server
+# crate's public modules, so an API change that breaks it must fail here.
+run cargo test --offline --manifest-path perfbench/Cargo.toml -q
+
 # The differential suite: bitsliced engines vs the scalar reference oracle
 # (exact equality for Rational sweeps, tolerance-checked f64, determinism
 # across thread counts).
@@ -96,6 +100,14 @@ run env SEALPAA_IO_MODEL=event \
     cargo test -p sealpaa-server --test router_e2e -q
 run env SEALPAA_IO_MODEL=threads \
     cargo test -p sealpaa-server --test router_e2e -q
+
+# The gateway's fault-injection suite: a newline-free flood, connections past
+# the cap, a client that stops reading, and a backend that resets halfway
+# through a batch response — again once per backend connection layer.
+run env SEALPAA_IO_MODEL=event \
+    cargo test -p sealpaa-server --test router_faults -q
+run env SEALPAA_IO_MODEL=threads \
+    cargo test -p sealpaa-server --test router_faults -q
 
 # Smoke-run the kernel benchmarks (1 sample per bench, no JSON rewrite) so
 # kernel regressions that only break under the bench harness surface here
