@@ -187,3 +187,52 @@ fn custom_truth_table_cell_via_binary() {
     assert_eq!(code, Some(0));
     assert!(stdout.contains("P(error)   = 0.0000000000"), "{stdout}");
 }
+
+#[test]
+fn binary_trace_files_read_back_as_the_synthesized_trace() {
+    let dir = std::env::temp_dir().join(format!("sealpaa-cli-binary-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let trace = dir.join("walk.trace");
+    let cut = dir.join("cut.trace");
+    let (trace_path, cut_path) = (
+        trace.to_str().expect("UTF-8 path"),
+        cut.to_str().expect("UTF-8 path"),
+    );
+    let source = [
+        "random-walk",
+        "--width",
+        "12",
+        "--records",
+        "5000",
+        "--seed",
+        "3",
+    ];
+    let synth = [
+        &["trace", "synth", "--kind"],
+        &source[..],
+        &["--binary", "--out", trace_path],
+    ];
+    let (_, stderr, code) = sealpaa(&synth.concat());
+    assert_eq!(code, Some(0), "{stderr}");
+
+    for command in [
+        &["trace", "replay", "--cell", "lpaa2"][..],
+        &["trace", "profile"],
+    ] {
+        let (from_file, stderr, code) =
+            sealpaa(&[command, &["--input", trace_path, "--binary"]].concat());
+        assert_eq!(code, Some(0), "{stderr}");
+        let (in_memory, _, _) = sealpaa(&[command, &["--synth"], &source[..]].concat());
+        assert_eq!(from_file, in_memory, "{command:?}");
+    }
+
+    let mut bytes = std::fs::read(&trace).expect("read the trace");
+    bytes.pop();
+    std::fs::write(&cut, bytes).expect("write the cut trace");
+    let (_, stderr, code) = sealpaa(&[
+        "trace", "replay", "--input", cut_path, "--binary", "--cell", "lpaa2",
+    ]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("trace line 5001: short record"), "{stderr}");
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+}

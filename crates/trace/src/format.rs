@@ -14,10 +14,14 @@
 //!   width, a record count, then fixed-size records (little-endian operands
 //!   plus a flags byte).
 //!
-//! Both readers are *bounded*: memory use is independent of the input size
-//! (one line / one record at a time), NDJSON lines longer than
-//! [`TraceLimits::max_line_bytes`] are rejected without being buffered, and
-//! both stop with an error after [`TraceLimits::max_records`] records.
+//! Both readers are *bounded*: memory use is independent of the input size.
+//! The NDJSON reader holds one line at a time, and lines longer than
+//! [`TraceLimits::max_line_bytes`] are rejected without being buffered. The
+//! binary reader holds one chunk at a time: a power-of-two number of whole
+//! records within 16 KiB of raw input, never more than the header still
+//! promises, decoded by a loop specialised for the operand byte count. Both
+//! stop with an error after [`TraceLimits::max_records`] records; the binary
+//! reader rejects a larger header count before reading any record.
 
 use std::io::{BufRead, Read, Write};
 
@@ -465,18 +469,49 @@ impl<R: BufRead> Iterator for NdjsonReader<R> {
     }
 }
 
-/// A streaming reader for the compact binary framing. Record sizes are fixed
-/// by the header, so memory use is bounded by construction.
+/// Raw bytes one binary chunk holds at most.
+const CHUNK_BYTES: usize = 1 << 14;
+
+/// Records per binary chunk: the largest power of two whose raw bytes fit in
+/// [`CHUNK_BYTES`]. A power of two, so that `read_binary`'s output, grown a
+/// chunk at a time, ends at the capacity of a `Vec` grown one push at a
+/// time (a power of two), not at up to twice that: at 2^20 width-16
+/// records the larger block was mapped afresh, and page-faulted, on every
+/// read.
+fn chunk_records(record_bytes: usize) -> usize {
+    1 << (CHUNK_BYTES / record_bytes).ilog2()
+}
+
+/// A streaming reader for the compact binary framing. It reads and decodes a
+/// chunk of whole records at a time (at most 16 KiB of raw input) and holds
+/// at most one chunk, whatever record count the header claims.
 #[derive(Debug)]
 pub struct BinaryReader<R: Read> {
-    reader: R,
+    chunks: ChunkDecoder<R>,
     width: usize,
-    mask: u64,
-    nb: usize,
+    /// Records the header promises that have not been yielded yet.
     remaining: u64,
-    /// Ordinal of the next record, for error messages (header = 1).
+    /// The current chunk's records, and the index of the next to yield.
+    chunk: Vec<TraceRecord>,
+    next: usize,
+    /// The error that cut the current chunk short, yielded after its records.
+    error: Option<TraceError>,
+}
+
+/// The one binary decode path, shared by [`BinaryReader`] and
+/// [`read_binary`].
+#[derive(Debug)]
+struct ChunkDecoder<R: Read> {
+    reader: R,
+    mask: u64,
+    /// Bytes per operand: `width.div_ceil(8)`, so `1..=8`.
+    nb: usize,
+    /// Records the header promises that have not been read yet.
+    unread: u64,
+    /// Ordinal of the next record to read, for error messages (header = 1).
     ordinal: u64,
-    done: bool,
+    /// Room for one chunk of raw records.
+    raw: Vec<u8>,
 }
 
 impl<R: Read> BinaryReader<R> {
@@ -517,14 +552,23 @@ impl<R: Read> BinaryReader<R> {
                 limit: limits.max_records,
             });
         }
+        let nb = width.div_ceil(8);
+        let record_bytes = 2 * nb + 1;
+        let chunk_records = count.min(chunk_records(record_bytes) as u64) as usize;
         Ok(BinaryReader {
-            reader,
+            chunks: ChunkDecoder {
+                reader,
+                mask: width_mask(width),
+                nb,
+                unread: count,
+                ordinal: 2,
+                raw: vec![0; chunk_records * record_bytes],
+            },
             width,
-            mask: width_mask(width),
-            nb: width.div_ceil(8),
             remaining: count,
-            ordinal: 2,
-            done: false,
+            chunk: Vec::new(),
+            next: 0,
+            error: None,
         })
     }
 
@@ -537,64 +581,151 @@ impl<R: Read> BinaryReader<R> {
     pub fn remaining(&self) -> u64 {
         self.remaining
     }
+}
 
-    fn next_record(&mut self) -> Result<Option<TraceRecord>, TraceError> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        let line = self.ordinal;
-        let fail = |message: String| TraceError::Record { line, message };
-        let mut body = [0u8; 17]; // 2 × 8 operand bytes + 1 flags byte max
-        let len = 2 * self.nb + 1;
-        self.reader
-            .read_exact(&mut body[..len])
-            .map_err(|e| fail(format!("short record: {e}")))?;
-        let word = |lo: usize| {
-            let mut bytes = [0u8; 8];
-            bytes[..self.nb].copy_from_slice(&body[lo..lo + self.nb]);
-            u64::from_le_bytes(bytes)
+impl<R: Read> ChunkDecoder<R> {
+    /// Reads the next chunk, never past the header's record count, and
+    /// appends its records to `out`. On an error `out` gains the records
+    /// before the failing one, and the decoder reads nothing more.
+    fn read_chunk(&mut self, out: &mut Vec<TraceRecord>) -> Result<(), TraceError> {
+        let record_bytes = 2 * self.nb + 1;
+        let records = self.unread.min((self.raw.len() / record_bytes) as u64) as usize;
+        let (filled, short) = fill(&mut self.reader, &mut self.raw[..records * record_bytes]);
+        let whole = filled / record_bytes;
+        let raw = &self.raw[..whole * record_bytes];
+        let (mask, line) = (self.mask, self.ordinal);
+        let decoded = match self.nb {
+            1 => decode_chunk::<1>(raw, mask, line, out),
+            2 => decode_chunk::<2>(raw, mask, line, out),
+            3 => decode_chunk::<3>(raw, mask, line, out),
+            4 => decode_chunk::<4>(raw, mask, line, out),
+            5 => decode_chunk::<5>(raw, mask, line, out),
+            6 => decode_chunk::<6>(raw, mask, line, out),
+            7 => decode_chunk::<7>(raw, mask, line, out),
+            8 => decode_chunk::<8>(raw, mask, line, out),
+            nb => unreachable!("a width of 1..=64 has 1..=8 operand bytes, not {nb}"),
         };
-        let a = word(0);
-        let b = word(self.nb);
-        let flags = body[len - 1];
-        for (key, value) in [("a", a), ("b", b)] {
-            if value & !self.mask != 0 {
-                return Err(fail(format!(
-                    "field {key:?} value {value} exceeds the trace width"
-                )));
+        self.unread -= whole as u64;
+        self.ordinal += whole as u64;
+        let result = decoded.and_then(|()| match short {
+            None => Ok(()),
+            Some(e) => Err(TraceError::Record {
+                line: self.ordinal,
+                message: format!("short record: {e}"),
+            }),
+        });
+        if result.is_err() {
+            self.unread = 0;
+        }
+        result
+    }
+}
+
+/// Reads into `buf` until it is full, the stream ends or a read fails,
+/// retrying interrupted reads as `read_exact` does. Returns the bytes read
+/// and, if they fall short of `buf.len()`, why.
+fn fill<R: Read>(reader: &mut R, buf: &mut [u8]) -> (usize, Option<std::io::Error>) {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match reader.read(&mut buf[filled..]) {
+            Ok(0) => {
+                let eof = std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "failed to fill whole buffer",
+                );
+                return (filled, Some(eof));
             }
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return (filled, Some(e)),
         }
-        if flags > 1 {
-            return Err(fail(format!("flags byte must be 0 or 1, got {flags}")));
+    }
+    (filled, None)
+}
+
+/// The operands and flags byte of one record of `NB`-byte operands.
+fn record_fields<const NB: usize>(record: &[u8]) -> (u64, u64, u8) {
+    let word = |bytes: &[u8]| {
+        let mut word = [0u8; 8];
+        word[..NB].copy_from_slice(&bytes[..NB]);
+        u64::from_le_bytes(word)
+    };
+    (word(&record[..NB]), word(&record[NB..]), record[2 * NB])
+}
+
+/// The record checks, in the order their errors are reported.
+fn check_record(a: u64, b: u64, flags: u8, mask: u64, line: u64) -> Result<(), TraceError> {
+    let fail = |message: String| Err(TraceError::Record { line, message });
+    for (key, value) in [("a", a), ("b", b)] {
+        if value & !mask != 0 {
+            return fail(format!(
+                "field {key:?} value {value} exceeds the trace width"
+            ));
         }
-        self.remaining -= 1;
-        self.ordinal += 1;
-        Ok(Some(TraceRecord {
+    }
+    if flags > 1 {
+        return fail(format!("flags byte must be 0 or 1, got {flags}"));
+    }
+    Ok(())
+}
+
+/// Decodes the whole records in `raw` onto `out`. The operand byte count is
+/// a const parameter so the loop has a fixed stride and fixed-size loads;
+/// `line` is the first record's ordinal. If a record is invalid, `out` keeps
+/// only the records before it and its error is returned.
+fn decode_chunk<const NB: usize>(
+    raw: &[u8],
+    mask: u64,
+    line: u64,
+    out: &mut Vec<TraceRecord>,
+) -> Result<(), TraceError> {
+    let start = out.len();
+    let mut invalid = 0u64;
+    out.extend(raw.chunks_exact(2 * NB + 1).map(|record| {
+        let (a, b, flags) = record_fields::<NB>(record);
+        invalid |= (a | b) & !mask | u64::from(flags > 1);
+        TraceRecord {
             a,
             b,
             cin: flags == 1,
-        }))
+        }
+    }));
+    if invalid == 0 {
+        return Ok(());
     }
+    // At most once per stream: find the first invalid record and report it.
+    let (i, error) = raw
+        .chunks_exact(2 * NB + 1)
+        .enumerate()
+        .find_map(|(i, record)| {
+            let (a, b, flags) = record_fields::<NB>(record);
+            check_record(a, b, flags, mask, line + i as u64)
+                .err()
+                .map(|e| (i, e))
+        })
+        .expect("the chunk holds an invalid record");
+    out.truncate(start + i);
+    Err(error)
 }
 
 impl<R: Read> Iterator for BinaryReader<R> {
     type Item = Result<TraceRecord, TraceError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        match self.next_record() {
-            Ok(Some(record)) => Some(Ok(record)),
-            Ok(None) => {
-                self.done = true;
-                None
+        if self.next == self.chunk.len() {
+            if self.chunks.unread > 0 {
+                self.chunk.clear();
+                self.next = 0;
+                self.error = self.chunks.read_chunk(&mut self.chunk).err();
             }
-            Err(e) => {
-                self.done = true;
-                Some(Err(e))
+            if self.next == self.chunk.len() {
+                return self.error.take().map(Err);
             }
         }
+        let record = self.chunk[self.next];
+        self.next += 1;
+        self.remaining -= 1;
+        Some(Ok(record))
     }
 }
 
@@ -619,14 +750,18 @@ pub fn read_ndjson<R: BufRead>(reader: R) -> Result<(usize, Vec<TraceRecord>), T
 /// Propagates any reader error.
 pub fn read_binary<R: Read>(reader: R) -> Result<(usize, Vec<TraceRecord>), TraceError> {
     let reader = BinaryReader::new(reader)?;
-    let width = reader.width();
-    let records = reader.collect::<Result<Vec<_>, _>>()?;
+    let (width, mut chunks) = (reader.width, reader.chunks);
+    let mut records = Vec::new();
+    while chunks.unread > 0 {
+        chunks.read_chunk(&mut records)?;
+    }
     Ok((width, records))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sealpaa_sim::Xoshiro256pp;
 
     fn sample() -> Vec<TraceRecord> {
         vec![
@@ -643,22 +778,6 @@ mod tests {
         let (width, records) = read_ndjson(buf.as_slice()).expect("read");
         assert_eq!(width, 8);
         assert_eq!(records, sample());
-    }
-
-    #[test]
-    fn binary_round_trip() {
-        for width in [1usize, 7, 8, 9, 33, 64] {
-            let mask = width_mask(width);
-            let records: Vec<TraceRecord> = sample()
-                .into_iter()
-                .map(|r| TraceRecord::new(r.a & mask, r.b & mask, r.cin))
-                .collect();
-            let mut buf = Vec::new();
-            write_binary(&mut buf, width, &records).expect("write");
-            let (got_width, got) = read_binary(buf.as_slice()).expect("read");
-            assert_eq!(got_width, width);
-            assert_eq!(got, records, "width {width}");
-        }
     }
 
     #[test]
@@ -761,39 +880,329 @@ mod tests {
         );
     }
 
+    fn below(rng: &mut Xoshiro256pp, n: usize) -> usize {
+        (rng.next_u64() % n as u64) as usize
+    }
+
+    /// What the iterator yields for a stream: records, then at most one
+    /// error, which is compared by its `Debug` form (variant, ordinal and
+    /// message).
+    type Items = Vec<Result<TraceRecord, String>>;
+
+    /// The binary framing decoded one record at a time, written
+    /// independently of the reader: the header's width (or its error) and
+    /// the items. A read past the end of `stream` fails with `end`.
+    fn oracle(stream: &[u8], end: &str) -> Result<(usize, Items), String> {
+        let debug = |e: TraceError| format!("{e:?}");
+        let header = |message: String| Err(debug(TraceError::Header(message)));
+        if stream.len() < 14 {
+            return header(format!("short header: {end}"));
+        }
+        if &stream[..4] != b"SPTB" {
+            return header("bad magic (want SPTB)".to_owned());
+        }
+        if stream[4] != 1 {
+            return header(format!(
+                "unsupported version {} (this reader speaks version 1)",
+                stream[4]
+            ));
+        }
+        let width = usize::from(stream[5]);
+        if !(1..=64).contains(&width) {
+            return Err(debug(TraceError::InvalidWidth { width }));
+        }
+        let count = u64::from_le_bytes(stream[6..14].try_into().expect("8 bytes"));
+        if count > 1 << 32 {
+            return Err(debug(TraceError::TooManyRecords { limit: 1 << 32 }));
+        }
+        let nb = width.div_ceil(8);
+        let mut body = &stream[14..];
+        let mut items = Vec::new();
+        for line in 2..count + 2 {
+            let fail = |message: String| Err(debug(TraceError::Record { line, message }));
+            if body.len() < 2 * nb + 1 {
+                items.push(fail(format!("short record: {end}")));
+                break;
+            }
+            let operand = |bytes: &[u8]| {
+                bytes
+                    .iter()
+                    .rev()
+                    .fold(0u64, |word, &byte| word << 8 | u64::from(byte))
+            };
+            let (a, b, flags) = (
+                operand(&body[..nb]),
+                operand(&body[nb..2 * nb]),
+                body[2 * nb],
+            );
+            let too_wide = |value: u64| width < 64 && value >> width != 0;
+            let item = if too_wide(a) {
+                fail(format!("field \"a\" value {a} exceeds the trace width"))
+            } else if too_wide(b) {
+                fail(format!("field \"b\" value {b} exceeds the trace width"))
+            } else if flags > 1 {
+                fail(format!("flags byte must be 0 or 1, got {flags}"))
+            } else {
+                Ok(TraceRecord::new(a, b, flags == 1))
+            };
+            let failed = item.is_err();
+            items.push(item);
+            if failed {
+                break;
+            }
+            body = &body[2 * nb + 1..];
+        }
+        Ok((width, items))
+    }
+
+    /// Serves a stream in reads of random length up to `max` bytes, with
+    /// the odd `Interrupted`; past the end it returns EOF, or fails with
+    /// `fail` if set.
+    struct HostileReader<'a> {
+        stream: &'a [u8],
+        max: usize,
+        fail: Option<&'static str>,
+        rng: Xoshiro256pp,
+    }
+
+    impl Read for HostileReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if below(&mut self.rng, 8) == 0 {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            if self.stream.is_empty() {
+                return match self.fail {
+                    Some(message) => Err(std::io::Error::other(message)),
+                    None => Ok(0),
+                };
+            }
+            let n = (1 + below(&mut self.rng, self.max))
+                .min(buf.len())
+                .min(self.stream.len());
+            buf[..n].copy_from_slice(&self.stream[..n]);
+            self.stream = &self.stream[n..];
+            Ok(n)
+        }
+    }
+
+    /// Reads `stream` through the iterator and through `read_binary`, each
+    /// over random short reads, checks both against the oracle, and returns
+    /// the iterator's view.
+    fn read_both(
+        stream: &[u8],
+        fail: Option<&'static str>,
+        rng: &mut Xoshiro256pp,
+        context: &str,
+    ) -> Result<(usize, Items), String> {
+        let end = fail.unwrap_or("failed to fill whole buffer");
+        let expected = oracle(stream, end);
+        let mut hostile = || {
+            let max = match below(rng, 4) {
+                0 => 1,
+                1 => 1 + below(rng, 64),
+                2 => 1 + below(rng, stream.len().max(1)),
+                _ => stream.len().max(1),
+            };
+            let rng = Xoshiro256pp::seed_from_u64(rng.next_u64());
+            HostileReader {
+                stream,
+                max,
+                fail,
+                rng,
+            }
+        };
+        let iterated = BinaryReader::new(hostile())
+            .map_err(|e| format!("{e:?}"))
+            .map(|mut reader| {
+                let width = reader.width();
+                let count = u64::from_le_bytes(stream[6..14].try_into().expect("whole header"));
+                let (mut items, mut yielded) = (Vec::new(), 0);
+                let most = chunk_records(2 * reader.chunks.nb + 1);
+                while let Some(item) = reader.next() {
+                    assert!(reader.chunks.raw.len() <= CHUNK_BYTES, "{context}");
+                    assert!(reader.chunk.capacity() <= most, "{context}");
+                    yielded += u64::from(item.is_ok());
+                    assert_eq!(reader.remaining(), count - yielded, "{context}");
+                    items.push(item.map_err(|e| format!("{e:?}")));
+                }
+                (width, items)
+            });
+        assert_eq!(iterated, expected, "{context}: iterator");
+        let whole = read_binary(hostile()).map_err(|e| format!("{e:?}"));
+        let expected_whole = expected.and_then(|(width, items)| {
+            let records = items.into_iter().collect::<Result<Vec<_>, _>>()?;
+            Ok((width, records))
+        });
+        assert_eq!(whole, expected_whole, "{context}: read_binary");
+        iterated
+    }
+
+    fn ends_in_error(read: &Result<(usize, Items), String>) -> bool {
+        read.as_ref()
+            .map_or(true, |(_, items)| items.last().is_some_and(Result::is_err))
+    }
+
+    fn encode(width: usize, records: &[TraceRecord]) -> Vec<u8> {
+        let mut stream = Vec::new();
+        write_binary(&mut stream, width, records).expect("in-memory write");
+        stream
+    }
+
     #[test]
-    fn binary_rejects_corruption() {
-        let mut good = Vec::new();
-        write_binary(&mut good, 8, &sample()).expect("write");
+    fn binary_reader_matches_a_per_record_oracle_on_hostile_input() {
+        let mut rng = Xoshiro256pp::seed_from_u64(0x5EED);
 
-        let mut bad_magic = good.clone();
-        bad_magic[0] = b'X';
-        assert!(read_binary(bad_magic.as_slice())
-            .expect_err("magic")
-            .to_string()
-            .contains("magic"));
+        // Fixed inputs: round trips at byte-boundary widths, then damage.
+        for width in [1usize, 7, 8, 9, 33, 64] {
+            let mask = width_mask(width);
+            let records: Vec<TraceRecord> = sample()
+                .into_iter()
+                .map(|r| TraceRecord::new(r.a & mask, r.b & mask, r.cin))
+                .collect();
+            let items = records.iter().copied().map(Ok).collect();
+            let stream = encode(width, &records);
+            assert_eq!(
+                read_both(&stream, None, &mut rng, &format!("width {width}")),
+                Ok((width, items))
+            );
+        }
+        let good = encode(8, &sample());
+        let last = good.len() - 1;
+        let damaged = |damage: &dyn Fn(&mut Vec<u8>)| {
+            let mut stream = good.clone();
+            damage(&mut stream);
+            stream
+        };
+        for (stream, needle) in [
+            (damaged(&|s| s[0] = b'X'), "magic"),
+            (damaged(&|s| s[4] = 9), "version 9"),
+            (damaged(&|s| s[5] = 65), "1..=64"),
+            (damaged(&|s| s.truncate(last)), "line 4: short record"),
+            (
+                damaged(&|s| s[last] = 7),
+                "line 4: flags byte must be 0 or 1, got 7",
+            ),
+        ] {
+            let error = read_binary(stream.as_slice())
+                .expect_err(needle)
+                .to_string();
+            assert!(error.contains(needle), "{error} (wanted {needle})");
+            let iterated = read_both(&stream, None, &mut rng, needle);
+            assert!(ends_in_error(&iterated), "{needle}");
+        }
 
-        let mut bad_version = good.clone();
-        bad_version[4] = 9;
-        assert!(read_binary(bad_version.as_slice())
-            .expect_err("version")
-            .to_string()
-            .contains("version 9"));
+        // A header that promises 2^32 records over an empty body holds one
+        // chunk at most and fails at the first record.
+        let mut claim = encode(8, &[]);
+        claim[6..14].copy_from_slice(&(1u64 << 32).to_le_bytes());
+        let reader = BinaryReader::new(claim.as_slice()).expect("header");
+        assert!(reader.chunks.raw.len() <= CHUNK_BYTES);
+        let error = read_binary(claim.as_slice()).expect_err("empty body");
+        assert!(
+            matches!(&error, TraceError::Record { line: 2, message } if message.starts_with("short record")),
+            "{error}"
+        );
+        let iterated = read_both(&claim, None, &mut rng, "2^32 claim");
+        assert!(ends_in_error(&iterated));
 
-        let mut truncated = good.clone();
-        truncated.truncate(good.len() - 1);
-        assert!(read_binary(truncated.as_slice())
-            .expect_err("truncation")
-            .to_string()
-            .contains("short record"));
+        for width in 1..=64usize {
+            let mask = width_mask(width);
+            let nb = width.div_ceil(8);
+            let record_bytes = 2 * nb + 1;
+            let chunk = chunk_records(record_bytes);
+            for count in [
+                0,
+                1,
+                chunk - 1,
+                chunk,
+                chunk + 1,
+                2 * chunk + 1 + below(&mut rng, chunk),
+            ] {
+                let context = format!("width {width}, {count} records");
+                let records: Vec<TraceRecord> = (0..count)
+                    .map(|_| {
+                        let r = rng.next_u64();
+                        TraceRecord::new(rng.next_u64() & mask, r & mask, r >> 63 == 1)
+                    })
+                    .collect();
+                let stream = encode(width, &records);
+                let items = records.iter().copied().map(Ok).collect();
+                assert_eq!(
+                    read_both(&stream, None, &mut rng, &context),
+                    Ok((width, items)),
+                    "{context}"
+                );
 
-        let mut bad_flags = good.clone();
-        let last = bad_flags.len() - 1;
-        bad_flags[last] = 7;
-        assert!(read_binary(bad_flags.as_slice())
-            .expect_err("flags")
-            .to_string()
-            .contains("flags"));
+                // A cut at a random byte: the complete records before it,
+                // then `short record` at the cut record (`Header` inside the
+                // header), whether the reader reports EOF or an error.
+                let cut = below(&mut rng, stream.len());
+                let fail = [None, Some("link reset")][below(&mut rng, 2)];
+                let got = read_both(
+                    &stream[..cut],
+                    fail,
+                    &mut rng,
+                    &format!("{context}, cut {cut}"),
+                );
+                match cut.checked_sub(14) {
+                    None => assert!(got
+                        .expect_err("cut header")
+                        .starts_with("Header(\"short header")),
+                    Some(body) => {
+                        let (_, mut items) = got.expect("the header is whole");
+                        let whole = body / record_bytes;
+                        let error = items.pop().expect("an error item").expect_err("last item");
+                        assert_eq!(
+                            items,
+                            records[..whole].iter().copied().map(Ok).collect::<Items>()
+                        );
+                        let line = whole + 2;
+                        assert!(
+                            error.starts_with(&format!(
+                                "Record {{ line: {line}, message: \"short record"
+                            )),
+                            "{error}"
+                        );
+                    }
+                }
+
+                // One bad record: any mix of an `a` or `b` bit above the
+                // width (where the top byte has one) and a flags byte above 1.
+                if count > 0 {
+                    let k = below(&mut rng, count);
+                    let at = 14 + k * record_bytes;
+                    let mut bad = stream.clone();
+                    let fields = if width % 8 == 0 {
+                        4
+                    } else {
+                        1 + below(&mut rng, 7)
+                    };
+                    if fields & 1 != 0 {
+                        bad[at + nb - 1] |= 0x80;
+                    }
+                    if fields & 2 != 0 {
+                        bad[at + 2 * nb - 1] |= 0x80;
+                    }
+                    if fields & 4 != 0 {
+                        bad[at + 2 * nb] = 2 + below(&mut rng, 254) as u8;
+                    }
+                    let (_, items) =
+                        read_both(&bad, None, &mut rng, &format!("{context}, bad record {k}"))
+                            .expect("the header is whole");
+                    assert_eq!(items.len(), k + 1, "{context}");
+                }
+
+                // A header that promises fewer records than follow leaves the
+                // rest of the stream unread.
+                let promised = below(&mut rng, count + 1);
+                let mut short = stream.clone();
+                short[6..14].copy_from_slice(&(promised as u64).to_le_bytes());
+                let mut rest = short.as_slice();
+                let (_, got) = read_binary(&mut rest).expect("promised records are whole");
+                assert_eq!(got, records[..promised], "{context}");
+                assert_eq!(rest, &short[14 + promised * record_bytes..], "{context}");
+            }
+        }
     }
 
     #[test]

@@ -36,6 +36,25 @@ run cargo test --workspace -q
 # crate's public modules, so an API change that breaks it must fail here.
 run cargo test --offline --manifest-path perfbench/Cargo.toml -q
 
+# The offline solves end to end in a release build: the trace read back by
+# read_binary must replay as replay_scalar does, and alike on every pass;
+# each DSE must find its pinned winner; Monte-Carlo must land within six
+# standard errors of the analysis. The run's last line says whether every
+# answer held. perfbench refuses hosts with fewer than 2 CPUs.
+if [[ $(nproc) -ge 2 ]]; then
+    echo
+    echo "==> bash perfbench/run.sh --workload offline_solve --seed 1 --seconds 2 --trace 0"
+    result=$(bash perfbench/run.sh --workload offline_solve --seed 1 --seconds 2 --trace 0 | tail -n 1)
+    echo "$result"
+    if [[ $result != *'"correct":true'* ]]; then
+        echo "ci: the offline_solve smoke got a wrong answer" >&2
+        exit 1
+    fi
+else
+    echo
+    echo "==> skipping the offline_solve smoke: perfbench needs 2 CPUs, this host has $(nproc)"
+fi
+
 # The differential suite: bitsliced engines vs the scalar reference oracle
 # (exact equality for Rational sweeps, tolerance-checked f64, determinism
 # across thread counts).
