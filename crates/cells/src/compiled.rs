@@ -120,7 +120,7 @@ fn mux8<W: SimdWord>(m: &[W; 8], a: W, na: W, b: W, nb: W, c: W, nc: W) -> W {
 
 /// An [`AdderChain`] compiled for 64-lane bitsliced evaluation.
 ///
-/// See the [module docs](self) for the encoding. A `CompiledChain` is plain
+/// The `compiled` module docs in the source describe the encoding. A `CompiledChain` is plain
 /// data (`Send + Sync`), so one compilation can be shared across simulation
 /// worker threads. The `u64` methods are the baseline engine;
 /// [`kernel`](Self::kernel) re-broadcasts the same truth tables for a wider
@@ -498,7 +498,7 @@ fn transpose64(m: &mut [u64; 64]) {
 ///
 /// Every swap step of the block recursion shifts and masks *within* a
 /// 64-bit element, so the wide transpose performs one subword transpose per
-/// element at the op count of a single scalar [`transpose64`] — the wider
+/// element at the op count of a single scalar `transpose64` — the wider
 /// the backend, the more 64-lane subwords are transposed per operation.
 #[inline(always)]
 pub fn transpose_lanes<W: SimdWord>(m: &mut [W; 64]) {
@@ -577,7 +577,7 @@ pub fn biased_distance_lanes<W: SimdWord>(
 /// `planes[i]` is bit `i` of `values[l]` (missing lanes are zero, and
 /// operand bits at or above `planes.len()` are dropped). This is the hot
 /// packing path of trace replay; the cost is one 64×64 bit-matrix
-/// [`transpose64`], independent of how many of the 64 lanes are occupied.
+/// `transpose64`, independent of how many of the 64 lanes are occupied.
 ///
 /// # Panics
 ///

@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 
 use sealpaa_cells::{Cell, InputProfile, StandardCell, TruthTable};
+use sealpaa_explore::accurate_cell_with_proxy_costs;
 use sealpaa_num::Rational;
 
 use crate::error::CliError;
@@ -120,6 +121,45 @@ pub fn parse_cell(spec: &str) -> Result<Cell, CliError> {
     Err(CliError::usage(format!(
         "unknown cell {spec:?} (use accurate, lpaa1..lpaa7, or SSSSSSSS/CCCCCCCC)"
     )))
+}
+
+/// Resolves a comma-separated candidate list under `--key` for the search
+/// commands: `accurate`/`accufa` take the estimated costs from DESIGN.md,
+/// other names go through [`parse_cell`]. Defaults to
+/// `lpaa1,lpaa2,lpaa5,accurate`.
+///
+/// # Errors
+///
+/// Fails on an unknown cell name.
+pub fn parse_candidates(args: &ParsedArgs, key: &str) -> Result<Vec<Cell>, CliError> {
+    args.option(key)
+        .unwrap_or("lpaa1,lpaa2,lpaa5,accurate")
+        .split(',')
+        .map(|name| {
+            if name.eq_ignore_ascii_case("accurate") || name.eq_ignore_ascii_case("accufa") {
+                Ok(accurate_cell_with_proxy_costs())
+            } else {
+                parse_cell(name)
+            }
+        })
+        .collect()
+}
+
+/// An optional cap such as `--budget-power`, parsed; `None` if absent.
+///
+/// # Errors
+///
+/// Fails only if the option is present but unparseable.
+pub fn parse_optional<T: std::str::FromStr>(
+    args: &ParsedArgs,
+    key: &str,
+) -> Result<Option<T>, CliError> {
+    args.option(key)
+        .map(|raw| {
+            raw.parse()
+                .map_err(|_| CliError::usage(format!("--{key}: cannot parse {raw:?}")))
+        })
+        .transpose()
 }
 
 /// Builds the per-bit input profile from `--width`, plus either a constant

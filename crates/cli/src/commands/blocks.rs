@@ -5,12 +5,12 @@ use std::io::Write;
 
 use sealpaa_blocks::{error_distance_distribution, exhaustive_distance_histogram, BlockConfig};
 use sealpaa_explore::{
-    accurate_cell_with_proxy_costs, best_block_design, block_pareto_front, enumerate_block_designs,
-    BlockBudget, BlockObjective, BlockSearchSpace,
+    best_block_design, block_pareto_front, enumerate_block_designs, BlockBudget, BlockObjective,
+    BlockSearchSpace,
 };
 use sealpaa_sim::default_threads;
 
-use crate::args::{parse_cell, parse_profile, ParsedArgs};
+use crate::args::{parse_candidates, parse_optional, parse_profile, ParsedArgs};
 use crate::error::CliError;
 
 const HELP: &str = "\
@@ -181,24 +181,7 @@ fn sweep<W: Write>(tokens: &[String], out: &mut W, pareto: bool) -> Result<(), C
     let profile = parse_profile(&args, width)?;
     let widths = parse_usize_list(&args, "widths", &[2, 4])?;
     let depths = parse_usize_list(&args, "depths", &[0, 1, 2])?;
-    let cells = match args.option("cells") {
-        None => vec![
-            parse_cell("lpaa1")?,
-            parse_cell("lpaa2")?,
-            parse_cell("lpaa5")?,
-            accurate_cell_with_proxy_costs(),
-        ],
-        Some(list) => list
-            .split(',')
-            .map(|name| {
-                if name.eq_ignore_ascii_case("accurate") || name.eq_ignore_ascii_case("accufa") {
-                    Ok(accurate_cell_with_proxy_costs())
-                } else {
-                    parse_cell(name)
-                }
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    };
+    let cells = parse_candidates(&args, "cells")?;
     let space = BlockSearchSpace::new(&widths, &depths, &cells).map_err(CliError::analysis)?;
     let budget = BlockBudget {
         max_power_nw: parse_optional(&args, "budget-power")?,
@@ -292,19 +275,6 @@ fn parse_usize_list(
                     .map_err(|_| CliError::usage(format!("--{key}: cannot parse {raw:?}")))
             })
             .collect(),
-    }
-}
-
-fn parse_optional<T: std::str::FromStr>(
-    args: &ParsedArgs,
-    key: &str,
-) -> Result<Option<T>, CliError> {
-    match args.option(key) {
-        None => Ok(None),
-        Some(raw) => raw
-            .parse()
-            .map(Some)
-            .map_err(|_| CliError::usage(format!("--{key}: cannot parse {raw:?}"))),
     }
 }
 

@@ -3,14 +3,13 @@
 
 use std::io::Write;
 
-use sealpaa_cells::Cell;
 use sealpaa_datapath::{Datapath, Signal};
-use sealpaa_explore::{accurate_cell_with_proxy_costs, best_datapath_assignment, Budget};
+use sealpaa_explore::{best_datapath_assignment, Budget};
 use sealpaa_propagate::{check_against_monte_carlo, fit_and_check, predict, topologies};
 use sealpaa_sim::default_threads;
 use sealpaa_trace::{generate, SynthKind};
 
-use crate::args::{parse_cell, ParsedArgs};
+use crate::args::{parse_candidates, parse_cell, parse_optional, ParsedArgs};
 use crate::error::CliError;
 use crate::json::Json;
 
@@ -360,35 +359,10 @@ fn optimize<W: Write>(tokens: &[String], out: &mut W) -> Result<(), CliError> {
     options.extend(["candidates", "budget-power", "budget-area", "threads"]);
     let args = ParsedArgs::parse(tokens, &options, &["json"])?;
     let (dp, output, inputs, _) = build(&args)?;
-    let candidates: Vec<Cell> = match args.option("candidates") {
-        None => vec![
-            parse_cell("lpaa1")?,
-            parse_cell("lpaa2")?,
-            parse_cell("lpaa5")?,
-            accurate_cell_with_proxy_costs(),
-        ],
-        Some(list) => list
-            .split(',')
-            .map(|name| {
-                if name.eq_ignore_ascii_case("accurate") || name.eq_ignore_ascii_case("accufa") {
-                    Ok(accurate_cell_with_proxy_costs())
-                } else {
-                    parse_cell(name)
-                }
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-    let parse_cap = |key: &str| -> Result<Option<f64>, CliError> {
-        match args.option(key) {
-            None => Ok(None),
-            Some(v) => Ok(Some(v.parse().map_err(|_| {
-                CliError::usage(format!("--{key}: cannot parse {v:?}"))
-            })?)),
-        }
-    };
+    let candidates = parse_candidates(&args, "candidates")?;
     let budget = Budget {
-        max_power_nw: parse_cap("budget-power")?,
-        max_area_ge: parse_cap("budget-area")?,
+        max_power_nw: parse_optional(&args, "budget-power")?,
+        max_area_ge: parse_optional(&args, "budget-area")?,
     };
     let threads = args.get_or("threads", default_threads())?;
     let refs = as_refs(&inputs);

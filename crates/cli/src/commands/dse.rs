@@ -3,12 +3,11 @@
 use std::io::Write;
 
 use sealpaa_explore::{
-    accurate_cell_with_proxy_costs, exhaustive_best_with, exhaustive_designs, local_search_best,
-    pareto_front, Budget,
+    exhaustive_best_with, exhaustive_designs, local_search_best, pareto_front, Budget,
 };
 use sealpaa_sim::default_threads;
 
-use crate::args::{parse_cell, parse_profile, ParsedArgs};
+use crate::args::{parse_candidates, parse_optional, parse_profile, ParsedArgs};
 use crate::error::CliError;
 
 const HELP: &str = "\
@@ -61,39 +60,10 @@ pub fn run<W: Write>(tokens: &[String], out: &mut W) -> Result<(), CliError> {
         return Err(CliError::usage("--width must be at least 1"));
     }
     let profile = parse_profile(&args, width)?;
-    let candidates = match args.option("candidates") {
-        None => vec![
-            parse_cell("lpaa1")?,
-            parse_cell("lpaa2")?,
-            parse_cell("lpaa5")?,
-            accurate_cell_with_proxy_costs(),
-        ],
-        Some(list) => list
-            .split(',')
-            .map(|name| {
-                if name.eq_ignore_ascii_case("accurate") || name.eq_ignore_ascii_case("accufa") {
-                    Ok(accurate_cell_with_proxy_costs())
-                } else {
-                    parse_cell(name)
-                }
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    };
+    let candidates = parse_candidates(&args, "candidates")?;
     let budget = Budget {
-        max_power_nw: match args.option("budget-power") {
-            None => None,
-            Some(v) => Some(
-                v.parse()
-                    .map_err(|_| CliError::usage(format!("--budget-power: cannot parse {v:?}")))?,
-            ),
-        },
-        max_area_ge: match args.option("budget-area") {
-            None => None,
-            Some(v) => Some(
-                v.parse()
-                    .map_err(|_| CliError::usage(format!("--budget-area: cannot parse {v:?}")))?,
-            ),
-        },
+        max_power_nw: parse_optional(&args, "budget-power")?,
+        max_area_ge: parse_optional(&args, "budget-area")?,
     };
 
     writeln!(

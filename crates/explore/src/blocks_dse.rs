@@ -11,22 +11,21 @@
 //!
 //! The analytical ED recursion is a left-fold over bit positions, so two
 //! configurations that agree on their leading blocks share the recursion's
-//! state exactly. The search walks the tiling tree depth-first carrying a
-//! [`BlockDistanceStepper`]: each tree edge pays one incremental `push`
-//! (positions no later block can reach), each leaf one tail pass — instead
-//! of a full O(N) analysis per configuration. The naive
-//! re-analyze-per-config route is kept as
+//! state exactly. The search runs the crate's one prefix-sharing driver
+//! over the tiling tree with a [`BlockDistanceStepper`]: each tree edge
+//! pays one incremental `push` (positions no later block can reach), each
+//! leaf one tail pass — instead of a full O(N) analysis per configuration.
+//! The naive re-analyze-per-config route is kept as
 //! [`best_block_design_reference`], the differential oracle and benchmark
 //! baseline.
 //!
 //! # Determinism contract
 //!
-//! Parallel variants split the *first-block* choices across
-//! `std::thread::scope` workers; leaves carry `(first-choice index,
-//! within-subtree ordinal)` and merges break score ties lexicographically
-//! on that pair. Results — every f64 bit — are identical for every thread
-//! count, because stepper and per-leaf statistics run the same
-//! deterministically-ordered code path everywhere.
+//! The leaf order is depth-first: block by block from the LSB, widths,
+//! then prediction depths, then cells, each ascending.
+//! [`enumerate_block_designs`] returns designs in it and
+//! [`best_block_design`] breaks score ties by it, so results — every f64
+//! bit — are identical for every thread count.
 
 use std::fmt;
 
@@ -34,7 +33,8 @@ use sealpaa_blocks::{error_distance_distribution, BlockConfig, BlockDistanceStep
 use sealpaa_cells::{Cell, InputProfile};
 use sealpaa_core::ErrorDistanceDistribution;
 
-use crate::search::{split_ranges, ExploreError, MAX_SEARCH};
+use crate::prefix::{self, PrefixSearch};
+use crate::search::{pareto_filter, ExploreError, MAX_SEARCH};
 
 /// The per-position choices the block search may combine.
 #[derive(Debug, Clone)]
@@ -151,6 +151,16 @@ impl BlockBudget {
             && self
                 .max_window_len
                 .is_none_or(|cap| eval.max_window_len <= cap)
+    }
+
+    /// `true` if a block of `window_len` fits the delay cap and the costs
+    /// folded through it keep the budget satisfiable. The pruning is sound:
+    /// costs are non-negative and f64 addition of non-negative values is
+    /// monotone.
+    fn admits_block(&self, window_len: usize, power: f64, area: f64) -> bool {
+        self.max_window_len.is_none_or(|cap| window_len <= cap)
+            && self.max_power_nw.is_none_or(|cap| power <= cap)
+            && self.max_area_ge.is_none_or(|cap| area <= cap)
     }
 }
 
@@ -282,206 +292,171 @@ pub fn evaluate_block_config(
     ))
 }
 
-/// One first-block choice: `(width index, cell index)` — block 0 always
-/// takes prediction 0.
-type FirstChoice = (usize, usize);
-
-/// DFS state shared by the enumerating and best-only searches.
-struct BlocksDfs<'s> {
-    space: &'s BlockSearchSpace,
-    budget: &'s BlockBudget,
+/// One block of a tiling path: its shape, its cell index, and the costs
+/// folded up to and including it.
+struct Step {
     width: usize,
+    prediction: usize,
+    cell: usize,
+    power: f64,
+    area: f64,
+    max_window: usize,
+}
+
+/// A worker of the tiling search.
+struct TilingWorker {
+    stepper: BlockDistanceStepper<f64>,
+    path: Vec<Step>,
+    /// The root choice the path starts with.
+    first: usize,
+    /// Complete tilings this worker has reached, the current one included.
+    leaves: u64,
+}
+
+/// The block-tiling search: one block per step, a [`BlockDistanceStepper`]
+/// plus window costs and the delay cap. Leaves are in depth-first order:
+/// `(first root choice, tilings reached so far)`.
+struct Tilings<'s> {
+    space: &'s BlockSearchSpace,
+    profile: &'s InputProfile<f64>,
+    budget: &'s BlockBudget,
+    objective: BlockObjective,
     powers: Vec<f64>,
     areas: Vec<f64>,
 }
 
-/// A leaf's deterministic identity: the first-choice index and the
-/// visitation ordinal inside that subtree.
-type LeafIndex = (usize, u64);
-
-struct BlockIncumbent {
-    evaluation: BlockEvaluation,
-    index: LeafIndex,
-    blocks: Vec<BlockSpec>,
-}
-
-/// `true` if `challenger` replaces `incumbent`: strictly better on the
-/// (objective, error rate, power, area) tuple, or tied and earlier in
-/// deterministic leaf order.
-fn replaces(
-    objective: BlockObjective,
-    challenger: &BlockIncumbent,
-    incumbent: &BlockIncumbent,
-) -> bool {
-    let key = |i: &BlockIncumbent| {
-        (
-            objective.of(&i.evaluation),
-            i.evaluation.error_rate,
-            i.evaluation.power_nw,
-            i.evaluation.area_ge,
-        )
-    };
-    let c = key(challenger);
-    let i = key(incumbent);
-    c < i || (c == i && challenger.index < incumbent.index)
-}
-
-impl<'s> BlocksDfs<'s> {
-    fn new(space: &'s BlockSearchSpace, budget: &'s BlockBudget, width: usize) -> Self {
-        let powers = space
+impl<'s> Tilings<'s> {
+    fn new(
+        space: &'s BlockSearchSpace,
+        profile: &'s InputProfile<f64>,
+        budget: &'s BlockBudget,
+        objective: BlockObjective,
+    ) -> Self {
+        let (powers, areas) = space
             .cells
             .iter()
             .map(|c| {
-                c.characteristics()
-                    .expect("validated by the space")
-                    .power_nw
+                let ch = c.characteristics().expect("validated by the space");
+                (ch.power_nw, ch.area_ge)
             })
-            .collect();
-        let areas = space
-            .cells
-            .iter()
-            .map(|c| c.characteristics().expect("validated by the space").area_ge)
-            .collect();
-        BlocksDfs {
+            .unzip();
+        Tilings {
             space,
+            profile,
             budget,
-            width,
+            objective,
             powers,
             areas,
         }
     }
+}
 
-    fn first_choices(&self) -> Vec<FirstChoice> {
-        if self.space.predictions[0] != 0 {
-            return Vec::new(); // block 0 needs depth 0
-        }
-        let mut out = Vec::new();
-        for (wi, &w) in self.space.widths.iter().enumerate() {
-            if w > self.width {
-                continue;
-            }
-            for ci in 0..self.space.cells.len() {
-                out.push((wi, ci));
-            }
-        }
-        out
-    }
+impl PrefixSearch for Tilings<'_> {
+    type Worker = TilingWorker;
+    type Score = BlockEvaluation;
+    type Key = (f64, f64, f64, f64);
+    type Order = (usize, u64);
+    type Design = BlockDesign;
 
-    /// `true` if a block of `window_len` is admissible under the delay cap
-    /// and its cost increments keep the budget satisfiable.
-    fn admits_block(&self, window_len: usize, power: f64, area: f64) -> bool {
-        self.budget
-            .max_window_len
-            .is_none_or(|cap| window_len <= cap)
-            // Sound pruning: costs are non-negative and f64 addition of
-            // non-negative values is monotone.
-            && self.budget.max_power_nw.is_none_or(|cap| power <= cap)
-            && self.budget.max_area_ge.is_none_or(|cap| area <= cap)
-    }
-
-    /// Walks every completion of the current stepper prefix, invoking
-    /// `leaf` on each complete in-budget design.
-    #[allow(clippy::too_many_arguments)] // recursive DFS state, deliberately unpacked
-    fn walk<F: FnMut(&[BlockSpec], BlockEvaluation, u64)>(
-        &self,
-        stepper: &mut BlockDistanceStepper<f64>,
-        blocks: &mut Vec<BlockSpec>,
-        power: f64,
-        area: f64,
-        max_window: usize,
-        ordinal: &mut u64,
-        leaf: &mut F,
-    ) -> Result<(), ExploreError> {
-        let covered = stepper.covered();
-        if covered == self.width {
-            let dist = stepper
-                .distribution()
-                .map_err(|source| ExploreError::Blocks { source })?;
-            let evaluation = BlockEvaluation::from_distribution(&dist, power, area, max_window);
-            let index = *ordinal;
-            *ordinal += 1;
-            if self.budget.admits(&evaluation) {
-                leaf(blocks, evaluation, index);
-            }
-            return Ok(());
-        }
-        let depth = stepper.depth();
-        for &w in &self.space.widths {
-            if covered + w > self.width {
-                break; // widths ascend
-            }
-            for &p in &self.space.predictions {
-                if p > covered {
-                    break; // predictions ascend
-                }
-                let wl = w + p;
-                for (ci, cell) in self.space.cells.iter().enumerate() {
-                    let power = power + self.powers[ci] * wl as f64;
-                    let area = area + self.areas[ci] * wl as f64;
-                    if !self.admits_block(wl, power, area) {
-                        continue;
-                    }
-                    stepper
-                        .push(w, p, cell)
-                        .map_err(|source| ExploreError::Blocks { source })?;
-                    blocks.push(BlockSpec::new(w, p, cell.clone()));
-                    self.walk(
-                        stepper,
-                        blocks,
-                        power,
-                        area,
-                        max_window.max(wl),
-                        ordinal,
-                        leaf,
-                    )?;
-                    blocks.pop();
-                    stepper.truncate(depth);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs `walk` for a contiguous range of first choices on one worker.
-    fn run_range<F: FnMut(&[BlockSpec], BlockEvaluation, LeafIndex)>(
-        &self,
-        profile: &InputProfile<f64>,
-        choices: &[FirstChoice],
-        offset: usize,
-        mut leaf: F,
-    ) -> Result<(), ExploreError> {
+    fn worker(&self) -> Result<TilingWorker, ExploreError> {
         let max_depth = *self.space.predictions.last().expect("non-empty");
-        let mut stepper = BlockDistanceStepper::new(profile.clone(), max_depth)
+        let stepper = BlockDistanceStepper::new(self.profile.clone(), max_depth)
             .map_err(|source| ExploreError::Blocks { source })?;
-        let mut blocks = Vec::new();
-        for (k, &(wi, ci)) in choices.iter().enumerate() {
-            let w = self.space.widths[wi];
-            let wl = w; // depth 0
-            let cell = &self.space.cells[ci];
-            let power = self.powers[ci] * wl as f64;
-            let area = self.areas[ci] * wl as f64;
-            if !self.admits_block(wl, power, area) {
-                continue;
-            }
-            stepper.truncate(0);
-            stepper
-                .push(w, 0, cell)
-                .map_err(|source| ExploreError::Blocks { source })?;
-            blocks.push(BlockSpec::new(w, 0, cell.clone()));
-            let mut ordinal = 0u64;
-            let first = offset + k;
-            self.walk(
-                &mut stepper,
-                &mut blocks,
-                power,
-                area,
-                wl,
-                &mut ordinal,
-                &mut |specs, evaluation, within| leaf(specs, evaluation, (first, within)),
-            )?;
-            blocks.pop();
+        Ok(TilingWorker {
+            stepper,
+            path: Vec::new(),
+            first: 0,
+            leaves: 0,
+        })
+    }
+
+    /// Widths that still fit × depths that stay above bit 0 × cells, in
+    /// that nesting (each axis ascending).
+    fn choices(&self, worker: &TilingWorker) -> usize {
+        let covered = worker.stepper.covered();
+        let widths = self
+            .space
+            .widths
+            .partition_point(|&w| covered + w <= self.profile.width());
+        widths * self.space.predictions_at(covered) * self.space.cells.len()
+    }
+
+    fn push(&self, worker: &mut TilingWorker, choice: usize) -> Result<bool, ExploreError> {
+        let covered = worker.stepper.covered();
+        let cells = self.space.cells.len();
+        let depths = self.space.predictions_at(covered);
+        let (shape, cell) = (choice / cells, choice % cells);
+        let width = self.space.widths[shape / depths];
+        let prediction = self.space.predictions[shape % depths];
+        let window = width + prediction;
+        // -0.0 is the identity of f64 addition: the first block's costs
+        // are kept bit for bit.
+        let (power, area, max_window) = worker
+            .path
+            .last()
+            .map_or((-0.0, -0.0, 0), |s| (s.power, s.area, s.max_window));
+        let power = power + self.powers[cell] * window as f64;
+        let area = area + self.areas[cell] * window as f64;
+        if !self.budget.admits_block(window, power, area) {
+            return Ok(false);
         }
-        Ok(())
+        worker
+            .stepper
+            .push(width, prediction, &self.space.cells[cell])
+            .map_err(|source| ExploreError::Blocks { source })?;
+        if worker.path.is_empty() {
+            worker.first = choice;
+        }
+        worker.path.push(Step {
+            width,
+            prediction,
+            cell,
+            power,
+            area,
+            max_window: max_window.max(window),
+        });
+        worker.leaves += u64::from(self.is_leaf(worker));
+        Ok(true)
+    }
+
+    fn pop(&self, worker: &mut TilingWorker) {
+        worker.path.pop();
+        worker.stepper.truncate(worker.path.len());
+    }
+
+    fn is_leaf(&self, worker: &TilingWorker) -> bool {
+        worker.stepper.covered() == self.profile.width()
+    }
+
+    fn score(&self, worker: &TilingWorker) -> Result<Option<BlockEvaluation>, ExploreError> {
+        let dist = worker
+            .stepper
+            .distribution()
+            .map_err(|source| ExploreError::Blocks { source })?;
+        let last = worker.path.last().expect("a leaf has blocks");
+        let evaluation =
+            BlockEvaluation::from_distribution(&dist, last.power, last.area, last.max_window);
+        Ok(self.budget.admits(&evaluation).then_some(evaluation))
+    }
+
+    fn key(&self, e: &BlockEvaluation) -> Self::Key {
+        (self.objective.of(e), e.error_rate, e.power_nw, e.area_ge)
+    }
+
+    fn order(&self, worker: &TilingWorker) -> (usize, u64) {
+        (worker.first, worker.leaves)
+    }
+
+    fn design(&self, worker: &TilingWorker, evaluation: BlockEvaluation) -> BlockDesign {
+        let blocks = worker
+            .path
+            .iter()
+            .map(|s| BlockSpec::new(s.width, s.prediction, self.space.cells[s.cell].clone()))
+            .collect();
+        BlockDesign {
+            config: BlockConfig::new(blocks).expect("the search builds valid tilings"),
+            evaluation,
+        }
     }
 }
 
@@ -514,45 +489,10 @@ pub fn enumerate_block_designs(
     budget: &BlockBudget,
     threads: usize,
 ) -> Result<Vec<BlockDesign>, ExploreError> {
-    let width = profile.width();
-    check_size(space, width)?;
-    let dfs = BlocksDfs::new(space, budget, width);
-    let choices = dfs.first_choices();
-    let ranges = split_ranges(choices.len(), threads);
-    let partials: Vec<Result<Vec<(LeafIndex, BlockDesign)>, ExploreError>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|range| {
-                    let dfs = &dfs;
-                    let choices = &choices;
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        dfs.run_range(
-                            profile,
-                            &choices[range.clone()],
-                            range.start,
-                            |specs, evaluation, index| {
-                                let config = BlockConfig::new(specs.to_vec())
-                                    .expect("DFS builds valid configs");
-                                out.push((index, BlockDesign { config, evaluation }));
-                            },
-                        )?;
-                        Ok(out)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("enumeration worker panicked"))
-                .collect()
-        });
-    let mut merged: Vec<(LeafIndex, BlockDesign)> = Vec::new();
-    for partial in partials {
-        merged.extend(partial?);
-    }
-    merged.sort_by_key(|(index, _)| *index);
-    Ok(merged.into_iter().map(|(_, design)| design).collect())
+    check_size(space, profile.width())?;
+    // Enumeration keeps every leaf, so the objective is never read.
+    let tilings = Tilings::new(space, profile, budget, BlockObjective::MeanAbsolute);
+    prefix::all(&tilings, threads)
 }
 
 /// The provably best in-budget design under `objective`, by exhaustive
@@ -572,63 +512,8 @@ pub fn best_block_design(
     objective: BlockObjective,
     threads: usize,
 ) -> Result<Option<BlockDesign>, ExploreError> {
-    let width = profile.width();
-    check_size(space, width)?;
-    let dfs = BlocksDfs::new(space, budget, width);
-    let choices = dfs.first_choices();
-    let ranges = split_ranges(choices.len(), threads);
-    let partials: Vec<Result<Option<BlockIncumbent>, ExploreError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                let dfs = &dfs;
-                let choices = &choices;
-                scope.spawn(move || {
-                    let mut best: Option<BlockIncumbent> = None;
-                    dfs.run_range(
-                        profile,
-                        &choices[range.clone()],
-                        range.start,
-                        |specs, evaluation, index| {
-                            let challenger = BlockIncumbent {
-                                evaluation,
-                                index,
-                                blocks: specs.to_vec(),
-                            };
-                            let replace = match &best {
-                                None => true,
-                                Some(incumbent) => replaces(objective, &challenger, incumbent),
-                            };
-                            if replace {
-                                best = Some(challenger);
-                            }
-                        },
-                    )?;
-                    Ok(best)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("search worker panicked"))
-            .collect()
-    });
-    let mut best: Option<BlockIncumbent> = None;
-    for partial in partials {
-        if let Some(challenger) = partial? {
-            let replace = match &best {
-                None => true,
-                Some(incumbent) => replaces(objective, &challenger, incumbent),
-            };
-            if replace {
-                best = Some(challenger);
-            }
-        }
-    }
-    Ok(best.map(|incumbent| BlockDesign {
-        config: BlockConfig::new(incumbent.blocks).expect("DFS builds valid configs"),
-        evaluation: incumbent.evaluation,
-    }))
+    check_size(space, profile.width())?;
+    prefix::best(&Tilings::new(space, profile, budget, objective), threads)
 }
 
 /// The naive reference search: enumerates the same tilings in the same
@@ -646,137 +531,84 @@ pub fn best_block_design_reference(
     budget: &BlockBudget,
     objective: BlockObjective,
 ) -> Result<Option<BlockDesign>, ExploreError> {
-    let width = profile.width();
-    check_size(space, width)?;
-    let dfs = BlocksDfs::new(space, budget, width);
-    let mut best: Option<BlockIncumbent> = None;
-    let mut stack: Vec<BlockSpec> = Vec::new();
-    let choices = dfs.first_choices();
-    for (first, &(wi, ci)) in choices.iter().enumerate() {
-        let mut ordinal = 0u64;
-        reference_walk(
-            &dfs,
-            profile,
-            objective,
-            &mut stack,
-            self_choice(space, wi, ci),
-            first,
-            &mut ordinal,
-            &mut best,
-        )?;
-    }
-    Ok(best.map(|incumbent| BlockDesign {
-        config: BlockConfig::new(incumbent.blocks).expect("walk builds valid configs"),
-        evaluation: incumbent.evaluation,
-    }))
-}
-
-fn self_choice(space: &BlockSearchSpace, wi: usize, ci: usize) -> BlockSpec {
-    BlockSpec::new(space.widths[wi], 0, space.cells[ci].clone())
+    check_size(space, profile.width())?;
+    let mut best = None;
+    reference_walk(
+        space,
+        profile,
+        budget,
+        objective,
+        &mut Vec::new(),
+        &mut best,
+    )?;
+    Ok(best)
 }
 
 /// Recursive helper of [`best_block_design_reference`]: same tree, same
-/// admissibility checks, but each leaf is scored with a fresh full pass.
-#[allow(clippy::too_many_arguments)] // recursive DFS state, deliberately unpacked
+/// order, same admissibility checks, but the costs are re-summed and each
+/// leaf is scored with a fresh full pass. Leaves come in order, so a later
+/// leaf replaces the best only if strictly better.
 fn reference_walk(
-    dfs: &BlocksDfs<'_>,
+    space: &BlockSearchSpace,
     profile: &InputProfile<f64>,
+    budget: &BlockBudget,
     objective: BlockObjective,
     stack: &mut Vec<BlockSpec>,
-    next: BlockSpec,
-    first: usize,
-    ordinal: &mut u64,
-    best: &mut Option<BlockIncumbent>,
+    best: &mut Option<BlockDesign>,
 ) -> Result<(), ExploreError> {
-    let wl = next.window_len();
-    let (power, area, max_window) = {
-        let ch = next.cell.characteristics().expect("validated by the space");
-        let (mut power, mut area, mut max_window) = (0.0f64, 0.0f64, 0usize);
-        for spec in stack.iter() {
-            let c = spec.cell.characteristics().expect("validated by the space");
-            power += c.power_nw * spec.window_len() as f64;
-            area += c.area_ge * spec.window_len() as f64;
-            max_window = max_window.max(spec.window_len());
-        }
-        (
-            power + ch.power_nw * wl as f64,
-            area + ch.area_ge * wl as f64,
-            max_window.max(wl),
-        )
-    };
-    if !dfs.admits_block(wl, power, area) {
-        return Ok(());
-    }
-    stack.push(next);
+    let key = |e: &BlockEvaluation| (objective.of(e), e.error_rate, e.power_nw, e.area_ge);
     let covered: usize = stack.iter().map(|s| s.width).sum();
-    if covered == dfs.width {
-        let config = BlockConfig::new(stack.clone()).expect("walk builds valid configs");
-        let evaluation = evaluate_block_config(&config, profile)?;
-        debug_assert_eq!(evaluation.max_window_len, max_window);
-        let index = *ordinal;
-        *ordinal += 1;
-        if dfs.budget.admits(&evaluation) {
-            let challenger = BlockIncumbent {
-                evaluation,
-                index: (first, index),
-                blocks: stack.clone(),
-            };
-            let replace = match best {
-                None => true,
-                Some(incumbent) => replaces(objective, &challenger, incumbent),
-            };
-            if replace {
-                *best = Some(challenger);
-            }
+    for &w in &space.widths {
+        if covered + w > profile.width() {
+            break;
         }
-    } else {
-        for &w in &dfs.space.widths {
-            if covered + w > dfs.width {
+        for &p in &space.predictions {
+            if p > covered {
                 break;
             }
-            for &p in &dfs.space.predictions {
-                if p > covered {
-                    break;
+            for cell in &space.cells {
+                let next = BlockSpec::new(w, p, cell.clone());
+                let (mut power, mut area, mut max_window) = (0.0f64, 0.0f64, 0usize);
+                for spec in stack.iter().chain([&next]) {
+                    let c = spec.cell.characteristics().expect("validated by the space");
+                    power += c.power_nw * spec.window_len() as f64;
+                    area += c.area_ge * spec.window_len() as f64;
+                    max_window = max_window.max(spec.window_len());
                 }
-                for cell in dfs.space.cells.iter() {
-                    reference_walk(
-                        dfs,
-                        profile,
-                        objective,
-                        stack,
-                        BlockSpec::new(w, p, cell.clone()),
-                        first,
-                        ordinal,
-                        best,
-                    )?;
+                if !budget.admits_block(next.window_len(), power, area) {
+                    continue;
                 }
+                stack.push(next);
+                if covered + w == profile.width() {
+                    let config =
+                        BlockConfig::new(stack.clone()).expect("walk builds valid configs");
+                    let evaluation = evaluate_block_config(&config, profile)?;
+                    debug_assert_eq!(evaluation.max_window_len, max_window);
+                    if budget.admits(&evaluation)
+                        && best
+                            .as_ref()
+                            .is_none_or(|b| key(&evaluation) < key(&b.evaluation))
+                    {
+                        *best = Some(BlockDesign { config, evaluation });
+                    }
+                } else {
+                    reference_walk(space, profile, budget, objective, stack, best)?;
+                }
+                stack.pop();
             }
         }
     }
-    stack.pop();
     Ok(())
 }
 
 /// Filters block designs down to their Pareto frontier over
 /// (mean |ED|, power, area), sorted by ascending mean |ED|.
-pub fn block_pareto_front(mut designs: Vec<BlockDesign>) -> Vec<BlockDesign> {
-    let mut front: Vec<BlockDesign> = Vec::new();
-    designs.sort_by(|a, b| {
-        a.evaluation
-            .mean_absolute
-            .total_cmp(&b.evaluation.mean_absolute)
-            .then(a.evaluation.power_nw.total_cmp(&b.evaluation.power_nw))
-    });
-    for design in designs {
-        if !front
-            .iter()
-            .any(|kept| kept.evaluation.dominates(&design.evaluation))
-        {
-            front.retain(|kept| !design.evaluation.dominates(&kept.evaluation));
-            front.push(design);
-        }
-    }
-    front
+pub fn block_pareto_front(designs: Vec<BlockDesign>) -> Vec<BlockDesign> {
+    pareto_filter(
+        designs,
+        |d| (d.evaluation.mean_absolute, d.evaluation.power_nw),
+        |a, b| a.evaluation.dominates(&b.evaluation),
+    )
 }
 
 #[cfg(test)]
@@ -825,30 +657,6 @@ mod tests {
             let many = enumerate_block_designs(&space, &profile, &BlockBudget::default(), threads)
                 .expect("small");
             assert_eq!(one, many, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn best_matches_naive_reference_bit_for_bit() {
-        let space = small_space();
-        let profile = InputProfile::constant(6, 0.25);
-        let budget = BlockBudget {
-            max_power_nw: Some(9000.0),
-            max_area_ge: None,
-            max_window_len: Some(5),
-        };
-        for objective in [
-            BlockObjective::MeanAbsolute,
-            BlockObjective::MeanSquared,
-            BlockObjective::ErrorRate,
-        ] {
-            let reference =
-                best_block_design_reference(&space, &profile, &budget, objective).expect("small");
-            for threads in [1, 4] {
-                let fast = best_block_design(&space, &profile, &budget, objective, threads)
-                    .expect("small");
-                assert_eq!(fast, reference, "objective {objective:?} threads {threads}");
-            }
         }
     }
 

@@ -8,19 +8,20 @@
 //! do not depend on the assignment, so minimizing predicted MSE is
 //! exactly maximizing predicted SNR.
 //!
-//! The search reuses the prefix-sharing DFS idiom of
-//! [`exhaustive_best_with`](crate::exhaustive_best_with): designs that
+//! The search runs the crate's one prefix-sharing driver, as
+//! [`exhaustive_best_with`](crate::exhaustive_best_with) does: designs that
 //! agree on their first *k* adders share the stepper state up to the
-//! *k*-th adder node, workers own contiguous ranges of first-adder
-//! candidates, and ties break by lowest odometer index — so the winner is
-//! bit-identical for every thread count, pinned against the naive
-//! re-propagate-per-design reference.
+//! *k*-th adder node, and ties break by lowest odometer index (the first
+//! adder's cell cycling fastest) — so the winner is bit-identical for every
+//! thread count, pinned against the naive re-propagate-per-design
+//! reference.
 
 use sealpaa_cells::{AdderChain, Cell};
 use sealpaa_datapath::{Datapath, NodeKind, Signal};
 use sealpaa_propagate::{GraphStepper, PropagateError};
 
-use crate::search::{split_ranges, Budget, ExploreError, MAX_SEARCH};
+use crate::prefix::{self, PrefixSearch};
+use crate::search::{Assignment, Budget, ExploreError, MAX_SEARCH};
 
 /// The score of one per-adder assignment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,70 +63,41 @@ impl DatapathDesign {
     }
 }
 
-/// Per-candidate, per-adder-node data the DFS needs, derived once. Costs
-/// are folded per chain width in stage order so they match
+/// `costs[a][c]`: the power/area of candidate `c` at the `a`-th adder
+/// node, folded per chain width in stage order so they match
 /// [`AdderChain::total_power_nw`] bit for bit.
-struct DatapathDfsContext<'c> {
-    candidates: &'c [Cell],
-    /// `costs[a][c] = (power, area)` of assigning candidate `c` to the
-    /// `a`-th adder node.
-    costs: Vec<Vec<(f64, f64)>>,
-}
-
-impl<'c> DatapathDfsContext<'c> {
-    fn new(candidates: &'c [Cell], widths: &[usize]) -> Result<Self, ExploreError> {
-        let mut per_cell = Vec::with_capacity(candidates.len());
-        for cell in candidates {
-            let ch =
-                cell.characteristics()
-                    .ok_or_else(|| ExploreError::MissingCharacteristics {
-                        cell: cell.name().to_owned(),
-                    })?;
-            per_cell.push((ch.power_nw, ch.area_ge));
-        }
-        let costs = widths
-            .iter()
-            .map(|&w| {
-                per_cell
-                    .iter()
-                    .map(|&(p, a)| {
-                        // The same left fold as a uniform chain's
-                        // total_power_nw, for bit-identical budgets.
-                        let mut power = 0.0;
-                        let mut area = 0.0;
-                        for _ in 0..w {
-                            power += p;
-                            area += a;
-                        }
-                        (power, area)
-                    })
-                    .collect()
-            })
-            .collect();
-        Ok(DatapathDfsContext { candidates, costs })
+fn adder_costs(
+    candidates: &[Cell],
+    adders: &[(Signal, usize)],
+) -> Result<Vec<Vec<(f64, f64)>>, ExploreError> {
+    let mut per_cell = Vec::with_capacity(candidates.len());
+    for cell in candidates {
+        let ch = cell
+            .characteristics()
+            .ok_or_else(|| ExploreError::MissingCharacteristics {
+                cell: cell.name().to_owned(),
+            })?;
+        per_cell.push((ch.power_nw, ch.area_ge));
     }
-}
-
-/// The incumbent: score, odometer index for partition-independent
-/// tie-breaks, and the assignment (candidate indices per adder).
-struct Incumbent {
-    evaluation: DatapathEvaluation,
-    index: u128,
-    assignment: Vec<usize>,
-}
-
-fn replaces(challenger: &Incumbent, incumbent: &Incumbent) -> bool {
-    let c = (
-        challenger.evaluation.mse,
-        challenger.evaluation.power_nw,
-        challenger.evaluation.area_ge,
-    );
-    let i = (
-        incumbent.evaluation.mse,
-        incumbent.evaluation.power_nw,
-        incumbent.evaluation.area_ge,
-    );
-    c < i || (c == i && challenger.index < incumbent.index)
+    Ok(adders
+        .iter()
+        .map(|&(_, w)| {
+            per_cell
+                .iter()
+                .map(|&(p, a)| {
+                    // The same left fold as a uniform chain's
+                    // total_power_nw, for bit-identical budgets.
+                    let mut power = 0.0;
+                    let mut area = 0.0;
+                    for _ in 0..w {
+                        power += p;
+                        area += a;
+                    }
+                    (power, area)
+                })
+                .collect()
+        })
+        .collect())
 }
 
 /// Advances the stepper through choice-free (non-adder) nodes.
@@ -136,77 +108,88 @@ fn advance_forced(stepper: &mut GraphStepper<'_, f64>) -> Result<(), PropagateEr
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)] // recursive DFS state, deliberately unpacked
-fn best_assignment_subtree(
-    ctx: &DatapathDfsContext<'_>,
-    budget: &Budget,
+/// The datapath search: one candidate cell per adder node, a
+/// [`GraphStepper`] that advances through the forced non-adder nodes inside
+/// `push`, plus per-adder costs. Leaves are ordered by odometer index.
+struct Assignments<'a> {
+    dp: &'a Datapath,
     output: Signal,
-    stepper: &mut GraphStepper<'_, f64>,
-    assignment: &mut Vec<usize>,
-    power: f64,
-    area: f64,
-    index: u128,
-    weight: u128,
-    best: &mut Option<Incumbent>,
-) -> Result<(), ExploreError> {
-    advance_forced(stepper).map_err(|source| ExploreError::Propagate { source })?;
-    if stepper.is_complete() {
-        let evaluation = DatapathEvaluation {
-            mse: stepper.state(output).error_second,
-            power_nw: power,
-            area_ge: area,
-        };
-        if !evaluation.admitted(budget) {
-            return Ok(());
-        }
-        let challenger = Incumbent {
-            evaluation,
-            index,
-            assignment: assignment.clone(),
-        };
-        let replace = match best {
-            None => true,
-            Some(incumbent) => replaces(&challenger, incumbent),
-        };
-        if replace {
-            *best = Some(challenger);
-        }
-        return Ok(());
+    inputs: &'a [(&'a str, Vec<f64>)],
+    candidates: &'a [Cell],
+    budget: &'a Budget,
+    /// Node index of each adder: the stepper depth just before it.
+    nodes: Vec<usize>,
+    costs: Vec<Vec<(f64, f64)>>,
+    signal_power: f64,
+}
+
+impl<'a> PrefixSearch for Assignments<'a> {
+    type Worker = (GraphStepper<'a, f64>, Assignment);
+    type Score = DatapathEvaluation;
+    type Key = (f64, f64, f64);
+    type Order = u128;
+    type Design = DatapathDesign;
+
+    fn worker(&self) -> Result<Self::Worker, ExploreError> {
+        let mut stepper = GraphStepper::new(self.dp, self.inputs)
+            .map_err(|source| ExploreError::Propagate { source })?;
+        advance_forced(&mut stepper).map_err(|source| ExploreError::Propagate { source })?;
+        Ok((stepper, Assignment::with_capacity(self.nodes.len())))
     }
-    let depth = stepper.depth();
-    let adder = assignment.len();
-    for c in 0..ctx.candidates.len() {
-        let (dp, da) = ctx.costs[adder][c];
-        let power = power + dp;
-        let area = area + da;
-        // Sound pruning: adder costs are non-negative and f64 addition of
-        // non-negative values is monotone, so a prefix already over a cap
-        // means every completion is over the cap.
-        if budget.max_power_nw.is_some_and(|cap| power > cap)
-            || budget.max_area_ge.is_some_and(|cap| area > cap)
-        {
-            continue;
+
+    fn choices(&self, _: &Self::Worker) -> usize {
+        self.candidates.len()
+    }
+
+    fn push(&self, (stepper, path): &mut Self::Worker, cell: usize) -> Result<bool, ExploreError> {
+        let (power, area) = self.costs[path.len()][cell];
+        if !path.push(self.budget, cell, power, area) {
+            return Ok(false);
         }
         stepper
-            .push(Some(&ctx.candidates[c]))
+            .push(Some(&self.candidates[cell]))
+            .and_then(|()| advance_forced(stepper))
             .map_err(|source| ExploreError::Propagate { source })?;
-        assignment.push(c);
-        best_assignment_subtree(
-            ctx,
-            budget,
-            output,
-            stepper,
-            assignment,
-            power,
-            area,
-            index + c as u128 * weight,
-            weight * ctx.candidates.len() as u128,
-            best,
-        )?;
-        assignment.pop();
-        stepper.truncate(depth);
+        Ok(true)
     }
-    Ok(())
+
+    fn pop(&self, (stepper, path): &mut Self::Worker) {
+        path.pop();
+        stepper.truncate(self.nodes[path.len()]);
+    }
+
+    fn is_leaf(&self, (stepper, _): &Self::Worker) -> bool {
+        stepper.is_complete()
+    }
+
+    fn score(
+        &self,
+        (stepper, path): &Self::Worker,
+    ) -> Result<Option<DatapathEvaluation>, ExploreError> {
+        let (power_nw, area_ge) = path.costs();
+        let evaluation = DatapathEvaluation {
+            mse: stepper.state(self.output).error_second,
+            power_nw,
+            area_ge,
+        };
+        Ok(evaluation.admitted(self.budget).then_some(evaluation))
+    }
+
+    fn key(&self, e: &DatapathEvaluation) -> Self::Key {
+        (e.mse, e.power_nw, e.area_ge)
+    }
+
+    fn order(&self, (_, path): &Self::Worker) -> u128 {
+        path.odometer(self.candidates.len())
+    }
+
+    fn design(&self, (_, path): &Self::Worker, evaluation: DatapathEvaluation) -> DatapathDesign {
+        DatapathDesign {
+            cells: path.cells(self.candidates),
+            evaluation,
+            signal_power: self.signal_power,
+        }
+    }
 }
 
 /// Adder node indices and chain widths of a datapath, in node order.
@@ -253,35 +236,27 @@ pub fn best_datapath_assignment(
             max: MAX_SEARCH,
         });
     }
-    let widths: Vec<usize> = adders.iter().map(|&(_, w)| w).collect();
-    let ctx = DatapathDfsContext::new(candidates, &widths)?;
+    let costs = adder_costs(candidates, &adders)?;
 
-    // The assignment-invariant signal power comes from one throwaway run.
-    let signal_power = {
-        let mut stepper =
-            GraphStepper::new(dp, inputs).map_err(|source| ExploreError::Propagate { source })?;
-        stepper
-            .run_to_end()
-            .map_err(|source| ExploreError::Propagate { source })?;
-        if output.index() >= dp.len() {
-            return Err(ExploreError::Propagate {
-                source: PropagateError::Datapath(sealpaa_datapath::DatapathError::UnknownSignal {
-                    index: output.index(),
-                }),
-            });
-        }
-        stepper.state(output).value_second
-    };
-
+    // One run of the graph as built: the assignment-invariant signal power,
+    // and the whole answer when there is no adder to assign.
+    let mut stepper =
+        GraphStepper::new(dp, inputs).map_err(|source| ExploreError::Propagate { source })?;
+    stepper
+        .run_to_end()
+        .map_err(|source| ExploreError::Propagate { source })?;
+    if output.index() >= dp.len() {
+        return Err(ExploreError::Propagate {
+            source: PropagateError::Datapath(sealpaa_datapath::DatapathError::UnknownSignal {
+                index: output.index(),
+            }),
+        });
+    }
+    let built = stepper.state(output);
+    let signal_power = built.value_second;
     if adders.is_empty() {
-        // No choices: a single, error-free-by-assignment design.
-        let mut stepper =
-            GraphStepper::new(dp, inputs).map_err(|source| ExploreError::Propagate { source })?;
-        stepper
-            .run_to_end()
-            .map_err(|source| ExploreError::Propagate { source })?;
         let evaluation = DatapathEvaluation {
-            mse: stepper.state(output).error_second,
+            mse: built.error_second,
             power_nw: 0.0,
             area_ge: 0.0,
         };
@@ -292,75 +267,17 @@ pub fn best_datapath_assignment(
         }));
     }
 
-    let ranges = split_ranges(candidates.len(), threads);
-    let partials: Vec<Result<Option<Incumbent>, ExploreError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                let ctx = &ctx;
-                scope.spawn(move || {
-                    let mut best = None;
-                    let mut stepper = GraphStepper::new(dp, inputs)
-                        .map_err(|source| ExploreError::Propagate { source })?;
-                    let mut assignment = Vec::with_capacity(ctx.costs.len());
-                    for c in range {
-                        let (power, area) = ctx.costs[0][c];
-                        if budget.max_power_nw.is_some_and(|cap| power > cap)
-                            || budget.max_area_ge.is_some_and(|cap| area > cap)
-                        {
-                            continue;
-                        }
-                        stepper.truncate(0);
-                        advance_forced(&mut stepper)
-                            .map_err(|source| ExploreError::Propagate { source })?;
-                        stepper
-                            .push(Some(&ctx.candidates[c]))
-                            .map_err(|source| ExploreError::Propagate { source })?;
-                        assignment.push(c);
-                        best_assignment_subtree(
-                            ctx,
-                            budget,
-                            output,
-                            &mut stepper,
-                            &mut assignment,
-                            power,
-                            area,
-                            c as u128,
-                            ctx.candidates.len() as u128,
-                            &mut best,
-                        )?;
-                        assignment.pop();
-                    }
-                    Ok(best)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("datapath search worker panicked"))
-            .collect()
-    });
-    let mut best: Option<Incumbent> = None;
-    for partial in partials {
-        if let Some(challenger) = partial? {
-            let replace = match &best {
-                None => true,
-                Some(incumbent) => replaces(&challenger, incumbent),
-            };
-            if replace {
-                best = Some(challenger);
-            }
-        }
-    }
-    Ok(best.map(|incumbent| DatapathDesign {
-        cells: incumbent
-            .assignment
-            .iter()
-            .map(|&c| candidates[c].clone())
-            .collect(),
-        evaluation: incumbent.evaluation,
+    let search = Assignments {
+        dp,
+        output,
+        inputs,
+        candidates,
+        budget,
+        nodes: adders.iter().map(|&(s, _)| s.index()).collect(),
+        costs,
         signal_power,
-    }))
+    };
+    prefix::best(&search, threads)
 }
 
 /// The naive reference: a fresh odometer enumeration with one full
@@ -512,26 +429,6 @@ mod tests {
             .iter()
             .map(|(n, b)| (n.as_str(), b.clone()))
             .collect()
-    }
-
-    #[test]
-    fn prefix_search_matches_naive_reference() {
-        let (dp, output, inputs) = fir_case();
-        let inputs = as_refs(&inputs);
-        for budget in [
-            Budget::default(),
-            Budget {
-                max_power_nw: Some(6_000.0),
-                max_area_ge: None,
-            },
-        ] {
-            let fast = best_datapath_assignment(&dp, output, &inputs, &candidates(), &budget, 1)
-                .expect("valid");
-            let naive =
-                best_datapath_assignment_reference(&dp, output, &inputs, &candidates(), &budget)
-                    .expect("valid");
-            assert_eq!(fast, naive);
-        }
     }
 
     #[test]

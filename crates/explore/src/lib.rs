@@ -42,6 +42,7 @@
 
 mod blocks_dse;
 mod datapath_dse;
+mod prefix;
 mod scorecard;
 mod search;
 mod sweep;

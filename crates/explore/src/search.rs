@@ -4,9 +4,9 @@
 //!
 //! The M/K/L recursion is a left-fold over [`CarryState`], so two designs
 //! that agree on their first *i* stages share the analysis state after
-//! stage *i* exactly. The exhaustive searches below therefore walk the
-//! `C^N` assignment space as a depth-first traversal of the per-stage cell
-//! tree, carrying a [`PrefixStepper`]: one O(1) stage step per tree edge
+//! stage *i* exactly. The exhaustive searches below therefore run the
+//! crate's one prefix-sharing driver over the per-stage cell tree with a
+//! [`PrefixStepper`]: one O(1) stage step per tree edge
 //! (`Σ C^i ≈ C^N·C/(C−1)` steps total) instead of a full O(N) analysis per
 //! leaf. Power and area accumulate along the same tree path with the same
 //! left-fold f64 operation order as [`AdderChain::total_power_nw`], so every
@@ -14,22 +14,19 @@
 //! re-analyze-per-design route (pinned by `exhaustive_best_reference` in
 //! the differential tests).
 //!
-//! # Determinism contract
-//!
-//! Parallel variants split the stage-0 subtrees across `std::thread::scope`
-//! workers and merge partials in lexicographic (odometer) design order:
-//! [`exhaustive_designs`] scatters each leaf into its odometer slot, and
-//! [`exhaustive_best_with`] breaks score ties by lowest odometer index. The
-//! returned designs — order, best pick, Pareto front, every f64 bit — are
-//! identical for every thread count.
+//! The leaf order is the odometer order (`assignment[0]` cycles fastest):
+//! [`exhaustive_designs`] returns designs in it, and [`exhaustive_best_with`]
+//! breaks score ties by it, so results are identical for every thread
+//! count.
 //!
 //! [`CarryState`]: sealpaa_core::CarryState
 
 use std::fmt;
-use std::ops::Range;
 
 use sealpaa_cells::{AdderChain, Cell, CellCharacteristics, InputProfile, StandardCell};
 use sealpaa_core::{analyze, MklMatrices, PrefixStepper};
+
+use crate::prefix::{self, PrefixSearch};
 
 /// Errors produced by the exploration functions.
 #[derive(Debug, Clone, PartialEq)]
@@ -217,22 +214,105 @@ pub const MAX_ENUMERATION: u128 = 2_000_000;
 /// 8 cells is 16.7M designs).
 pub const MAX_SEARCH: u128 = 100_000_000;
 
-/// Per-candidate data the DFS needs at every tree edge, derived once:
-/// M/K/L matrices and power/area increments.
-struct DfsContext<'c> {
-    candidates: &'c [Cell],
+/// Checks a `candidates^width` space against `max`.
+fn check_space(candidates: &[Cell], width: usize, max: u128) -> Result<(), ExploreError> {
+    if candidates.is_empty() {
+        return Err(ExploreError::NoCandidates);
+    }
+    let designs = (candidates.len() as u128).saturating_pow(width as u32);
+    if designs > max {
+        return Err(ExploreError::SpaceTooLarge { designs, max });
+    }
+    Ok(())
+}
+
+/// The width-0 design: an empty chain, scored by [`evaluate`].
+fn empty_design(profile: &InputProfile<f64>) -> Result<HybridDesign, ExploreError> {
+    let chain = AdderChain::from_stages(Vec::new());
+    let evaluation = evaluate(&chain, profile)?;
+    Ok(HybridDesign { chain, evaluation })
+}
+
+/// A path of candidate-cell indices, one per decision, with power and area
+/// folded along it in decision order — the same left fold as
+/// [`AdderChain::total_power_nw`]. The hybrid and datapath searches share it.
+pub(crate) struct Assignment(Vec<(usize, f64, f64)>);
+
+impl Assignment {
+    pub(crate) fn with_capacity(decisions: usize) -> Self {
+        Assignment(Vec::with_capacity(decisions))
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Folded `(power, area)`. At the root this is `-0.0`, the identity of
+    /// f64 addition, so the first step's costs are kept bit for bit.
+    pub(crate) fn costs(&self) -> (f64, f64) {
+        self.0.last().map_or((-0.0, -0.0), |&(_, p, a)| (p, a))
+    }
+
+    /// Appends `cell`, costing `power` and `area` more, unless that puts
+    /// the prefix over a cap. The pruning is sound: costs are non-negative
+    /// and f64 addition of non-negative values is monotone, so a prefix over
+    /// a cap has no completion under it.
+    pub(crate) fn push(&mut self, budget: &Budget, cell: usize, power: f64, area: f64) -> bool {
+        let (p, a) = self.costs();
+        let (p, a) = (p + power, a + area);
+        if budget.max_power_nw.is_some_and(|cap| p > cap)
+            || budget.max_area_ge.is_some_and(|cap| a > cap)
+        {
+            return false;
+        }
+        self.0.push((cell, p, a));
+        true
+    }
+
+    pub(crate) fn pop(&mut self) {
+        self.0.pop();
+    }
+
+    /// The odometer index over `radix` candidates: the first decision is
+    /// the fastest-cycling digit.
+    pub(crate) fn odometer(&self, radix: usize) -> u128 {
+        self.0
+            .iter()
+            .rev()
+            .fold(0, |index, &(cell, ..)| index * radix as u128 + cell as u128)
+    }
+
+    pub(crate) fn cells(&self, candidates: &[Cell]) -> Vec<Cell> {
+        self.0
+            .iter()
+            .map(|&(cell, ..)| candidates[cell].clone())
+            .collect()
+    }
+}
+
+/// The hybrid-chain search: one candidate cell per stage, a
+/// [`PrefixStepper`] plus per-cell power/area derived once. Leaves are
+/// ordered by odometer index.
+struct Hybrid<'a> {
+    candidates: &'a [Cell],
+    profile: &'a InputProfile<f64>,
+    budget: Budget,
     mkls: Vec<MklMatrices>,
     powers: Vec<f64>,
     areas: Vec<f64>,
 }
 
-impl<'c> DfsContext<'c> {
-    /// Validates every candidate up front (the DFS scores designs without
-    /// materializing chains, so the per-chain characteristics check in
-    /// [`evaluate`] never runs). The first candidate missing characteristics
-    /// is reported — the same cell the odometer enumeration would have
-    /// tripped over first.
-    fn new(candidates: &'c [Cell]) -> Result<Self, ExploreError> {
+impl<'a> Hybrid<'a> {
+    /// Validates every candidate up front (the search scores designs
+    /// without materializing chains, so the per-chain characteristics check
+    /// in [`evaluate`] never runs). The first candidate missing
+    /// characteristics is reported — the same cell the odometer enumeration
+    /// would have tripped over first.
+    fn new(
+        candidates: &'a [Cell],
+        profile: &'a InputProfile<f64>,
+        budget: &Budget,
+    ) -> Result<Self, ExploreError> {
         let mut mkls = Vec::with_capacity(candidates.len());
         let mut powers = Vec::with_capacity(candidates.len());
         let mut areas = Vec::with_capacity(candidates.len());
@@ -246,8 +326,10 @@ impl<'c> DfsContext<'c> {
             powers.push(ch.power_nw);
             areas.push(ch.area_ge);
         }
-        Ok(DfsContext {
+        Ok(Hybrid {
             candidates,
+            profile,
+            budget: *budget,
             mkls,
             powers,
             areas,
@@ -264,77 +346,62 @@ impl<'c> DfsContext<'c> {
     }
 }
 
-/// Splits `0..n` into at most `parts` contiguous non-empty ranges.
-///
-/// Every search that fans out over these ranges merges its partials in
-/// range order, so results are thread-count invariant — which means
-/// oversubscribing past the machine's cores can only add scheduling
-/// overhead (the `dse/w40 _t4 > _t1` regression in BENCH_blocks.json).
-/// `parts` is therefore additionally clamped to available parallelism.
-pub(crate) fn split_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let parts = parts.min(cores).clamp(1, n.max(1));
-    let base = n / parts;
-    let extra = n % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let len = base + usize::from(i < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
+impl<'a> PrefixSearch for Hybrid<'a> {
+    type Worker = (PrefixStepper<'a, f64>, Assignment);
+    type Score = Evaluation;
+    type Key = (f64, f64, f64);
+    type Order = u128;
+    type Design = HybridDesign;
 
-/// One enumeration state threaded through the DFS: the stepper prefix, the
-/// partial power/area folds (same f64 operation order as
-/// [`AdderChain::total_power_nw`]), and the design's odometer index built
-/// digit by digit (`assignment[0]` is the fastest-cycling digit, matching
-/// the historical odometer order).
-#[allow(clippy::too_many_arguments)] // recursive DFS state, deliberately unpacked
-fn enumerate_subtree<'p>(
-    ctx: &DfsContext<'_>,
-    stepper: &mut PrefixStepper<'p, f64>,
-    assignment: &mut Vec<usize>,
-    power: f64,
-    area: f64,
-    index: usize,
-    weight: usize,
-    out: &mut Vec<(usize, HybridDesign)>,
-) {
-    let depth = stepper.depth();
-    if depth == stepper.max_depth() {
+    fn worker(&self) -> Result<Self::Worker, ExploreError> {
+        let path = Assignment::with_capacity(self.profile.width());
+        Ok((PrefixStepper::new(self.profile), path))
+    }
+
+    fn choices(&self, _: &Self::Worker) -> usize {
+        self.candidates.len()
+    }
+
+    fn push(&self, (stepper, path): &mut Self::Worker, cell: usize) -> Result<bool, ExploreError> {
+        let pushed = path.push(&self.budget, cell, self.powers[cell], self.areas[cell]);
+        if pushed {
+            stepper.push(&self.mkls[cell]);
+        }
+        Ok(pushed)
+    }
+
+    fn pop(&self, (stepper, path): &mut Self::Worker) {
+        path.pop();
+        stepper.truncate(path.len());
+    }
+
+    fn is_leaf(&self, (_, path): &Self::Worker) -> bool {
+        path.len() == self.profile.width()
+    }
+
+    fn score(&self, (stepper, path): &Self::Worker) -> Result<Option<Evaluation>, ExploreError> {
+        let (power_nw, area_ge) = path.costs();
         let evaluation = Evaluation {
             error_probability: stepper.error_probability(),
-            power_nw: power,
-            area_ge: area,
+            power_nw,
+            area_ge,
         };
-        out.push((
-            index,
-            HybridDesign {
-                chain: ctx.chain_of(assignment),
-                evaluation,
-            },
-        ));
-        return;
+        Ok(self.budget.admits(&evaluation).then_some(evaluation))
     }
-    for c in 0..ctx.candidates.len() {
-        stepper.push(&ctx.mkls[c]);
-        assignment.push(c);
-        enumerate_subtree(
-            ctx,
-            stepper,
-            assignment,
-            power + ctx.powers[c],
-            area + ctx.areas[c],
-            index + c * weight,
-            weight * ctx.candidates.len(),
-            out,
-        );
-        assignment.pop();
-        stepper.truncate(depth);
+
+    fn key(&self, e: &Evaluation) -> Self::Key {
+        (e.error_probability, e.power_nw, e.area_ge)
+    }
+
+    fn order(&self, (_, path): &Self::Worker) -> u128 {
+        path.odometer(self.candidates.len())
+    }
+
+    fn design(&self, (_, path): &Self::Worker, evaluation: Evaluation) -> HybridDesign {
+        HybridDesign {
+            chain: AdderChain::from_stages(path.cells(self.candidates)),
+            evaluation,
+        }
     }
 }
 
@@ -342,9 +409,7 @@ fn enumerate_subtree<'p>(
 /// only) with `threads` workers, prefix-sharing the analysis across designs.
 ///
 /// Results are in the same order as [`enumerate_designs`] (stage-0 cell
-/// cycling fastest) and are byte-identical for every thread count: workers
-/// own contiguous ranges of stage-0 subtrees and every design is scattered
-/// into its odometer slot before the merged vector is returned.
+/// cycling fastest) and are byte-identical for every thread count.
 ///
 /// # Errors
 ///
@@ -356,66 +421,14 @@ pub fn exhaustive_designs(
     profile: &InputProfile<f64>,
     threads: usize,
 ) -> Result<Vec<HybridDesign>, ExploreError> {
-    if candidates.is_empty() {
-        return Err(ExploreError::NoCandidates);
+    check_space(candidates, profile.width(), MAX_ENUMERATION)?;
+    if profile.width() == 0 {
+        return Ok(vec![empty_design(profile)?]);
     }
-    let width = profile.width();
-    let designs = (candidates.len() as u128).saturating_pow(width as u32);
-    if designs > MAX_ENUMERATION {
-        return Err(ExploreError::SpaceTooLarge {
-            designs,
-            max: MAX_ENUMERATION,
-        });
-    }
-    if width == 0 {
-        let chain = AdderChain::from_stages(Vec::new());
-        let evaluation = evaluate(&chain, profile)?;
-        return Ok(vec![HybridDesign { chain, evaluation }]);
-    }
-    let ctx = DfsContext::new(candidates)?;
-    let ranges = split_ranges(candidates.len(), threads);
-    let partials: Vec<Vec<(usize, HybridDesign)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                let ctx = &ctx;
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut stepper = PrefixStepper::new(profile);
-                    let mut assignment = Vec::with_capacity(profile.width());
-                    for c in range {
-                        stepper.truncate(0);
-                        stepper.push(&ctx.mkls[c]);
-                        assignment.push(c);
-                        enumerate_subtree(
-                            ctx,
-                            &mut stepper,
-                            &mut assignment,
-                            ctx.powers[c],
-                            ctx.areas[c],
-                            c,
-                            ctx.candidates.len(),
-                            &mut out,
-                        );
-                        assignment.pop();
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("enumeration worker panicked"))
-            .collect()
-    });
-    let mut slots: Vec<Option<HybridDesign>> = (0..designs as usize).map(|_| None).collect();
-    for (index, design) in partials.into_iter().flatten() {
-        slots[index] = Some(design);
-    }
-    Ok(slots
-        .into_iter()
-        .map(|slot| slot.expect("every odometer index is visited exactly once"))
-        .collect())
+    prefix::all(
+        &Hybrid::new(candidates, profile, &Budget::default())?,
+        threads,
+    )
 }
 
 /// Enumerates and scores every `candidates^width` design (small spaces
@@ -434,106 +447,14 @@ pub fn enumerate_designs(
     exhaustive_designs(candidates, profile, 1)
 }
 
-/// The incumbent of the best-design search: score, odometer index (for
-/// deterministic tie-breaks across thread partitions) and the assignment to
-/// rebuild the chain from.
-struct Incumbent {
-    evaluation: Evaluation,
-    index: u128,
-    assignment: Vec<usize>,
-}
-
-/// `true` if `challenger` should replace `incumbent`: strictly better on
-/// the (error, power, area) tuple, or tied and earlier in odometer order —
-/// the same "first seen wins ties" rule the sequential scan had, now
-/// partition-independent.
-fn replaces(challenger: &Incumbent, incumbent: &Incumbent) -> bool {
-    let c = (
-        challenger.evaluation.error_probability,
-        challenger.evaluation.power_nw,
-        challenger.evaluation.area_ge,
-    );
-    let i = (
-        incumbent.evaluation.error_probability,
-        incumbent.evaluation.power_nw,
-        incumbent.evaluation.area_ge,
-    );
-    c < i || (c == i && challenger.index < incumbent.index)
-}
-
-#[allow(clippy::too_many_arguments)] // recursive DFS state, deliberately unpacked
-fn best_subtree<'p>(
-    ctx: &DfsContext<'_>,
-    budget: &Budget,
-    stepper: &mut PrefixStepper<'p, f64>,
-    assignment: &mut Vec<usize>,
-    power: f64,
-    area: f64,
-    index: u128,
-    weight: u128,
-    best: &mut Option<Incumbent>,
-) {
-    let depth = stepper.depth();
-    if depth == stepper.max_depth() {
-        let evaluation = Evaluation {
-            error_probability: stepper.error_probability(),
-            power_nw: power,
-            area_ge: area,
-        };
-        if !budget.admits(&evaluation) {
-            return;
-        }
-        let challenger = Incumbent {
-            evaluation,
-            index,
-            assignment: assignment.clone(),
-        };
-        let replace = match best {
-            None => true,
-            Some(incumbent) => replaces(&challenger, incumbent),
-        };
-        if replace {
-            *best = Some(challenger);
-        }
-        return;
-    }
-    for c in 0..ctx.candidates.len() {
-        let power = power + ctx.powers[c];
-        let area = area + ctx.areas[c];
-        // Sound pruning: stage costs are non-negative and f64 addition of
-        // non-negative values is monotone, so a prefix already over a cap
-        // means every completion is over the cap (and inadmissible).
-        if budget.max_power_nw.is_some_and(|cap| power > cap)
-            || budget.max_area_ge.is_some_and(|cap| area > cap)
-        {
-            continue;
-        }
-        stepper.push(&ctx.mkls[c]);
-        assignment.push(c);
-        best_subtree(
-            ctx,
-            budget,
-            stepper,
-            assignment,
-            power,
-            area,
-            index + c as u128 * weight,
-            weight * ctx.candidates.len() as u128,
-            best,
-        );
-        assignment.pop();
-        stepper.truncate(depth);
-    }
-}
-
 /// The provably best design under a budget, by exhaustive prefix-sharing
 /// search over `threads` workers. Returns `None` if no design fits the
 /// budget.
 ///
 /// Ties on error probability are broken by lower power, then lower area,
 /// then earliest odometer position — so the winner is identical for every
-/// thread count. Designs are never materialized (only the incumbent's
-/// assignment is kept), which is why the cap is [`MAX_SEARCH`] rather than
+/// thread count. Designs are never materialized (only the incumbent is
+/// kept), which is why the cap is [`MAX_SEARCH`] rather than
 /// [`MAX_ENUMERATION`].
 ///
 /// # Errors
@@ -547,82 +468,12 @@ pub fn exhaustive_best_with(
     budget: &Budget,
     threads: usize,
 ) -> Result<Option<HybridDesign>, ExploreError> {
-    if candidates.is_empty() {
-        return Err(ExploreError::NoCandidates);
+    check_space(candidates, profile.width(), MAX_SEARCH)?;
+    if profile.width() == 0 {
+        let design = empty_design(profile)?;
+        return Ok(budget.admits(&design.evaluation).then_some(design));
     }
-    let width = profile.width();
-    let designs = (candidates.len() as u128).saturating_pow(width as u32);
-    if designs > MAX_SEARCH {
-        return Err(ExploreError::SpaceTooLarge {
-            designs,
-            max: MAX_SEARCH,
-        });
-    }
-    if width == 0 {
-        let chain = AdderChain::from_stages(Vec::new());
-        let evaluation = evaluate(&chain, profile)?;
-        return Ok(budget
-            .admits(&evaluation)
-            .then_some(HybridDesign { chain, evaluation }));
-    }
-    let ctx = DfsContext::new(candidates)?;
-    let ranges = split_ranges(candidates.len(), threads);
-    let partials: Vec<Option<Incumbent>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                let ctx = &ctx;
-                scope.spawn(move || {
-                    let mut best = None;
-                    let mut stepper = PrefixStepper::new(profile);
-                    let mut assignment = Vec::with_capacity(profile.width());
-                    for c in range {
-                        let power = ctx.powers[c];
-                        let area = ctx.areas[c];
-                        if budget.max_power_nw.is_some_and(|cap| power > cap)
-                            || budget.max_area_ge.is_some_and(|cap| area > cap)
-                        {
-                            continue;
-                        }
-                        stepper.truncate(0);
-                        stepper.push(&ctx.mkls[c]);
-                        assignment.push(c);
-                        best_subtree(
-                            ctx,
-                            budget,
-                            &mut stepper,
-                            &mut assignment,
-                            power,
-                            area,
-                            c as u128,
-                            ctx.candidates.len() as u128,
-                            &mut best,
-                        );
-                        assignment.pop();
-                    }
-                    best
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("search worker panicked"))
-            .collect()
-    });
-    let mut best: Option<Incumbent> = None;
-    for challenger in partials.into_iter().flatten() {
-        let replace = match &best {
-            None => true,
-            Some(incumbent) => replaces(&challenger, incumbent),
-        };
-        if replace {
-            best = Some(challenger);
-        }
-    }
-    Ok(best.map(|incumbent| HybridDesign {
-        chain: ctx.chain_of(&incumbent.assignment),
-        evaluation: incumbent.evaluation,
-    }))
+    prefix::best(&Hybrid::new(candidates, profile, budget)?, threads)
 }
 
 /// The provably best design under a budget, single-threaded. See
@@ -715,8 +566,7 @@ pub fn exhaustive_best_reference(
 /// cannot go; the tests cross-check it against [`exhaustive_best`] on small
 /// spaces.
 ///
-/// Returns `None` if not even the cheapest homogeneous chain fits the
-/// budget.
+/// Returns `None` if no homogeneous chain fits the budget.
 ///
 /// # Errors
 ///
@@ -731,28 +581,26 @@ pub fn local_search_best(
         return Err(ExploreError::NoCandidates);
     }
     let width = profile.width();
-    // Start from the cheapest (by power) homogeneous chain.
-    let mut cheapest = 0usize;
-    for (i, cell) in candidates.iter().enumerate() {
-        let ch = cell
-            .characteristics()
-            .ok_or_else(|| ExploreError::MissingCharacteristics {
-                cell: cell.name().to_owned(),
-            })?;
-        let cheapest_power = candidates[cheapest]
-            .characteristics()
-            .expect("validated in earlier iterations")
-            .power_nw;
-        if ch.power_nw < cheapest_power {
-            cheapest = i;
+    let hybrid = Hybrid::new(candidates, profile, budget)?;
+    // Start from the cheapest (by cell power) homogeneous chain the budget
+    // admits; the first such candidate wins power ties.
+    let mut start: Option<(usize, Evaluation)> = None;
+    for cell in 0..candidates.len() {
+        let cheaper = start
+            .as_ref()
+            .is_none_or(|&(s, _)| hybrid.powers[cell] < hybrid.powers[s]);
+        if !cheaper {
+            continue;
+        }
+        let evaluation = evaluate(&hybrid.chain_of(&vec![cell; width]), profile)?;
+        if budget.admits(&evaluation) {
+            start = Some((cell, evaluation));
         }
     }
-    let ctx = DfsContext::new(candidates)?;
-    let mut assignment = vec![cheapest; width];
-    let mut current = evaluate(&ctx.chain_of(&assignment), profile)?;
-    if !budget.admits(&current) {
+    let Some((cheapest, mut current)) = start else {
         return Ok(None);
-    }
+    };
+    let mut assignment = vec![cheapest; width];
     // Each neighbor differs from the current chain in exactly one stage, so
     // only the suffix from the mutated stage needs re-analysis: rewind the
     // stepper to the mutated depth, push the substitute, replay the
@@ -769,9 +617,9 @@ pub fn local_search_best(
                     continue;
                 }
                 stepper.truncate(stage);
-                stepper.push(&ctx.mkls[cand]);
+                stepper.push(&hybrid.mkls[cand]);
                 for &cell in &assignment[stage + 1..width] {
-                    stepper.push(&ctx.mkls[cell]);
+                    stepper.push(&hybrid.mkls[cell]);
                 }
                 let cost_of = |per_cell: &[f64]| {
                     (0..width).fold(0.0, |acc, t| {
@@ -780,8 +628,8 @@ pub fn local_search_best(
                 };
                 let eval = Evaluation {
                     error_probability: stepper.error_probability(),
-                    power_nw: cost_of(&ctx.powers),
-                    area_ge: cost_of(&ctx.areas),
+                    power_nw: cost_of(&hybrid.powers),
+                    area_ge: cost_of(&hybrid.areas),
                 };
                 if !budget.admits(&eval) {
                     continue;
@@ -806,7 +654,7 @@ pub fn local_search_best(
             // Re-seat the original cell so deeper stages rewind onto the
             // current assignment's prefix, not the last neighbor's.
             stepper.truncate(stage);
-            stepper.push(&ctx.mkls[original]);
+            stepper.push(&hybrid.mkls[original]);
         }
         match best_move {
             Some((stage, cand, eval)) => {
@@ -816,29 +664,38 @@ pub fn local_search_best(
             None => break,
         }
     }
-    let chain = ctx.chain_of(&assignment);
     Ok(Some(HybridDesign {
-        chain,
+        chain: hybrid.chain_of(&assignment),
         evaluation: current,
     }))
 }
 
 /// Filters a design set down to its Pareto frontier over
 /// (error probability, power, area), sorted by ascending error.
-pub fn pareto_front(mut designs: Vec<HybridDesign>) -> Vec<HybridDesign> {
-    let mut front: Vec<HybridDesign> = Vec::new();
+pub fn pareto_front(designs: Vec<HybridDesign>) -> Vec<HybridDesign> {
+    pareto_filter(
+        designs,
+        |d| (d.evaluation.error_probability, d.evaluation.power_nw),
+        |a, b| a.evaluation.dominates(&b.evaluation),
+    )
+}
+
+/// Sorts `designs` by `key` (ascending, `total_cmp` on each component),
+/// then keeps every design no kept design dominates, dropping the kept
+/// designs it dominates.
+pub(crate) fn pareto_filter<T>(
+    mut designs: Vec<T>,
+    key: impl Fn(&T) -> (f64, f64),
+    dominates: impl Fn(&T, &T) -> bool,
+) -> Vec<T> {
     designs.sort_by(|a, b| {
-        a.evaluation
-            .error_probability
-            .total_cmp(&b.evaluation.error_probability)
-            .then(a.evaluation.power_nw.total_cmp(&b.evaluation.power_nw))
+        let ((a0, a1), (b0, b1)) = (key(a), key(b));
+        a0.total_cmp(&b0).then(a1.total_cmp(&b1))
     });
+    let mut front: Vec<T> = Vec::new();
     for design in designs {
-        if !front
-            .iter()
-            .any(|kept| kept.evaluation.dominates(&design.evaluation))
-        {
-            front.retain(|kept| !design.evaluation.dominates(&kept.evaluation));
+        if !front.iter().any(|kept| dominates(kept, &design)) {
+            front.retain(|kept| !dominates(&design, kept));
             front.push(design);
         }
     }
@@ -920,26 +777,42 @@ mod tests {
 
     #[test]
     fn local_search_matches_exhaustive_on_small_space() {
-        let profile = InputProfile::constant(4, 0.15);
-        let budget = Budget {
-            max_power_nw: Some(1500.0),
-            max_area_ge: None,
-        };
-        let exhaustive = exhaustive_best(&lpaa_candidates(), &profile, &budget)
-            .expect("small")
-            .expect("feasible");
-        let local = local_search_best(&lpaa_candidates(), &profile, &budget)
-            .expect("valid")
-            .expect("feasible");
-        // Hill climbing may tie rather than find the same chain, but on this
-        // small space it should reach the optimal error.
-        assert!(
-            (local.evaluation.error_probability - exhaustive.evaluation.error_probability).abs()
-                < 1e-9,
-            "local {} vs exhaustive {}",
-            local.evaluation.error_probability,
-            exhaustive.evaluation.error_probability
+        let power_capped = (
+            lpaa_candidates(),
+            InputProfile::constant(4, 0.15),
+            Budget {
+                max_power_nw: Some(1500.0),
+                max_area_ge: None,
+            },
         );
+        // The lowest-power homogeneous chain, LPAA 2 ×4 at 7.76 GE, is over
+        // the area cap; LPAA 4 ×4 at 7.04 GE fits.
+        let area_capped = (
+            vec![StandardCell::Lpaa2.cell(), StandardCell::Lpaa4.cell()],
+            InputProfile::constant(4, 0.2),
+            Budget {
+                max_power_nw: None,
+                max_area_ge: Some(7.2),
+            },
+        );
+        for (candidates, profile, budget) in [power_capped, area_capped] {
+            let exhaustive = exhaustive_best(&candidates, &profile, &budget)
+                .expect("small")
+                .expect("feasible");
+            let local = local_search_best(&candidates, &profile, &budget)
+                .expect("valid")
+                .expect("feasible");
+            // Hill climbing may tie rather than find the same chain, but on
+            // these small spaces it should reach the optimal error.
+            assert!(
+                (local.evaluation.error_probability - exhaustive.evaluation.error_probability)
+                    .abs()
+                    < 1e-9,
+                "local {} vs exhaustive {}",
+                local.evaluation.error_probability,
+                exhaustive.evaluation.error_probability
+            );
+        }
     }
 
     #[test]

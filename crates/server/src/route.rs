@@ -3,7 +3,7 @@
 //!
 //! The router owns no analysis engines and no result cache. Its one job is
 //! placement: every request is canonicalized exactly like the daemon would
-//! ([`cache_key`](crate::canonical::cache_key)), and the canonical key is
+//! ([`cache_key`]), and the canonical key is
 //! **consistent-hashed** onto a ring of healthy backends. Equivalent
 //! requests from *any* client therefore always land on the same backend —
 //! each backend's LRU holds a disjoint shard of the key space, and the
@@ -17,7 +17,7 @@
 //! finalizer matters: canonical keys differ mostly in their trailing
 //! characters, which plain FNV-1a leaves clustered on the ring.
 //!
-//! Connections are the `conn` module's [`LineConn`]s, the same ones the
+//! Connections are the `conn` module's `LineConn`s, the same ones the
 //! daemon's event loop drives: clients under the daemon's pipelining and
 //! output caps, and one pipelined link per backend. Each link carries at
 //! most 128 in-flight requests, exactly like a direct pipelined client;

@@ -42,7 +42,7 @@ use crate::rng::SplitMix64;
 const HORNER_MAX_BITS: u32 = 12;
 
 /// `W::WORDS` independent xoshiro256++ streams, stepped element-wise (the
-/// lane-parallel counterpart of [`Xoshiro256pp`]). Element 0 of a 1-word
+/// lane-parallel counterpart of [`Xoshiro256pp`](crate::Xoshiro256pp)). Element 0 of a 1-word
 /// word type reproduces `Xoshiro256pp::seed_from_u64(seed)` exactly.
 #[derive(Debug, Clone)]
 pub struct WideXoshiro<W> {

@@ -7,7 +7,7 @@
 //! that nobody wants to type in by hand. This crate closes the loop between
 //! an application's actual additions and the analysis:
 //!
-//! 1. **Trace formats** ([`format`]) — a versioned NDJSON record stream
+//! 1. **Trace formats** ([`format`](mod@format)) — a versioned NDJSON record stream
 //!    (`{"a":13,"b":77,"cin":1}` under a `{"sealpaa_trace":1,"width":N}`
 //!    header) plus a compact binary framing, both with bounded streaming
 //!    readers.

@@ -12,7 +12,7 @@
 //!   absolute gap `|P̂(x ∧ y) − P̂(x)·P̂(y)|` over all variable pairs. For a
 //!   truly independent source the score shrinks like `1/√records` (sampling
 //!   noise); a persistent plateau is real correlation the analytical model
-//!   cannot see, and [`fidelity`](crate::fidelity) quantifies its cost.
+//!   cannot see, and [`fidelity`](mod@crate::fidelity) quantifies its cost.
 //!
 //! Memory is `O(width²)` counters; a push costs `O(k²)` where `k` is the
 //! number of set bits in the record (sparse workloads profile fast).

@@ -8,7 +8,7 @@
 //! * [`SynthKind::Uniform`] — every operand bit (and the carry-in) is an
 //!   independent fair coin. The per-bit independence assumption of the
 //!   analytical model holds *exactly* here, which makes this the calibration
-//!   workload for [`fidelity`](crate::fidelity).
+//!   workload for [`fidelity`](mod@crate::fidelity).
 //! * [`SynthKind::GaussianSum`] — operands are averages of four uniform
 //!   draws (central-limit bell around mid-range), concentrating values and
 //!   correlating the high bits.

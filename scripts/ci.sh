@@ -79,6 +79,12 @@ done
 # invariance of the design-space exploration.
 run cargo test -p sealpaa-core --test incremental -q
 
+# The design-space exploration differential suite: every prefix-sharing DSE
+# (hybrid, block, datapath) vs its naive reference scan at several thread
+# counts, enumerations vs per-design scoring in leaf order, and exact ties
+# that only each problem's leaf order decides.
+run cargo test -p sealpaa-explore --test differential -q
+
 # The trace-replay differential suite: bitsliced 64-lane replay vs the
 # scalar per-record oracle (bit-for-bit, every workload family and thread
 # count) plus the model-fidelity acceptance bounds.
@@ -150,6 +156,11 @@ run env MICROBENCH_QUICK=1 MICROBENCH_SAMPLE_MS=5 \
 # Lints are load-bearing: the gate fails on any clippy warning anywhere in
 # the workspace, including tests and benches.
 run cargo clippy --workspace --all-targets -- -D warnings
+
+# Docs are load-bearing too: a broken intra-doc link fails the gate. `--lib`
+# skips the `sealpaa` binary, whose doc output would collide with the
+# umbrella library's.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
 
 run cargo fmt --all --check
 
