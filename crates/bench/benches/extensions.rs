@@ -1,12 +1,12 @@
 //! Benchmarks for the beyond-the-paper extensions: error-magnitude moments,
-//! full error distributions, datapath composition, and HDL synthesis — so
-//! their costs relative to the core O(N) analysis are on record.
+//! full error distributions and HDL synthesis — so their costs relative to
+//! the core O(N) analysis are on record. Datapath propagation is timed in
+//! `datapath_kernels`.
 
 use sealpaa_bench::microbench::{black_box, BenchmarkId, Criterion};
 use sealpaa_bench::{criterion_group, criterion_main};
 use sealpaa_cells::{AdderChain, InputProfile, StandardCell};
 use sealpaa_core::{error_distribution, error_magnitude};
-use sealpaa_datapath::{estimate, Datapath};
 use sealpaa_hdl::{chain_netlist, chain_verilog};
 
 fn bench_magnitude(c: &mut Criterion) {
@@ -34,29 +34,6 @@ fn bench_distribution(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_datapath_estimate(c: &mut Criterion) {
-    // A 15-adder balanced reduction tree of 16 operands.
-    let mut dp = Datapath::new();
-    let mut level: Vec<_> = (0..16).map(|i| dp.input(format!("x{i}"), 8)).collect();
-    let mut width = 8;
-    while level.len() > 1 {
-        let chain = AdderChain::uniform(StandardCell::Lpaa6.cell(), width);
-        level = level
-            .chunks(2)
-            .map(|pair| dp.add(pair[0], pair[1], chain.clone()).expect("fits"))
-            .collect();
-        width += 1;
-    }
-    let input_names: Vec<String> = (0..16).map(|i| format!("x{i}")).collect();
-    let inputs: Vec<(&str, Vec<f64>)> = input_names
-        .iter()
-        .map(|n| (n.as_str(), vec![0.4; 8]))
-        .collect();
-    c.bench_function("datapath_estimate_16way_tree", |b| {
-        b.iter(|| estimate(black_box(&dp), black_box(&inputs)).expect("valid"))
-    });
-}
-
 fn bench_hdl_synthesis(c: &mut Criterion) {
     let chain = AdderChain::uniform(StandardCell::Lpaa1.cell(), 32);
     let mut group = c.benchmark_group("hdl_32bit_chain");
@@ -71,7 +48,6 @@ criterion_group!(
     benches,
     bench_magnitude,
     bench_distribution,
-    bench_datapath_estimate,
     bench_hdl_synthesis
 );
 criterion_main!(benches);

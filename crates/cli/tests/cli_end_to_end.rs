@@ -152,6 +152,18 @@ fn multiplier_command_runs() {
     ]);
     assert_eq!(code, Some(0));
     assert!(stdout.contains("MRED"), "{stdout}");
+    // Every byte is pinned: the accumulator's approximate sums feed each
+    // figure.
+    assert_eq!(
+        stdout,
+        concat!(
+            "multiplier : 6x6 shift-add, LPAA 6 accumulator\n",
+            "samples    : 2000\n",
+            "error rate : 0.692000\n",
+            "MRED       : 0.231547\n",
+            "max |error|: 2604\n",
+        )
+    );
 }
 
 #[test]
@@ -161,6 +173,32 @@ fn fir_command_runs() {
     ]);
     assert_eq!(code, Some(0));
     assert!(stdout.contains("PSNR"), "{stdout}");
+    assert_eq!(
+        stdout,
+        concat!(
+            "filter       : 3 taps [1, 2, 1], LPAA 6 accumulator\n",
+            "outputs      : 300\n",
+            "wrong outputs: 299 (0.9967)\n",
+            "MSE          : 94773.8533\n",
+            "PSNR         : 8.97 dB\n",
+            "max |error|  : 504\n",
+        )
+    );
+}
+
+#[test]
+fn fir_rejects_a_coefficient_sum_past_64_bits() {
+    for taps in [
+        "18446744073709551615,2",
+        "9223372036854775808,9223372036854775808",
+    ] {
+        let (_, stderr, code) = sealpaa(&["fir", "--cell", "accurate", "--taps", taps]);
+        assert_eq!(code, Some(2), "{taps}: {stderr}");
+        assert!(
+            stderr.contains("exceeds the 63-bit evaluation limit"),
+            "{taps}: {stderr}"
+        );
+    }
 }
 
 #[test]

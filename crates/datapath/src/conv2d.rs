@@ -10,6 +10,7 @@
 use sealpaa_cells::{AdderChain, Cell};
 
 use crate::graph::DatapathError;
+use crate::serial;
 
 /// A small grayscale image: `height × width` pixels, row-major.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,12 +102,7 @@ impl Image {
             sq += (a.abs_diff(*e) as f64).powi(2);
             peak = peak.max(*e);
         }
-        let mse = sq / self.pixels.len() as f64;
-        if mse == 0.0 || peak == 0 {
-            None
-        } else {
-            Some(10.0 * ((peak as f64).powi(2) / mse).log10())
-        }
+        serial::psnr_db(peak, sq / self.pixels.len() as f64)
     }
 }
 
@@ -162,14 +158,8 @@ impl Conv2d {
             kernel.iter().all(|row| row.len() == kw),
             "kernel rows must have equal length"
         );
-        let gain: u64 = kernel.iter().flatten().sum();
-        assert!(gain > 0, "at least one kernel coefficient must be non-zero");
-        let acc_width = pixel_bits + (64 - gain.leading_zeros() as usize);
-        if acc_width > 62 {
-            return Err(DatapathError::TooWide { width: acc_width });
-        }
         Ok(Conv2d {
-            accumulator: AdderChain::uniform(cell, acc_width),
+            accumulator: serial::accumulator(cell, kernel.iter().flatten().copied(), pixel_bits)?,
             kernel: kernel.to_vec(),
             pixel_bits,
         })
@@ -215,16 +205,7 @@ impl Conv2d {
                 for (ky, row) in self.kernel.iter().enumerate() {
                     for (kx, &coeff) in row.iter().enumerate() {
                         let p = image.pixel(x + kx, y + ky) & mask;
-                        for bit in 0..64 {
-                            if (coeff >> bit) & 1 == 1 {
-                                let term = p << bit;
-                                acc = if exact {
-                                    self.accumulator.accurate_sum(acc, term, false).sum_bits()
-                                } else {
-                                    self.accumulator.add(acc, term, false).sum_bits()
-                                };
-                            }
-                        }
+                        acc = serial::shift_add(&self.accumulator, acc, p, coeff, exact);
                     }
                 }
                 pixels.push(acc);
@@ -329,9 +310,15 @@ mod tests {
 
     #[test]
     fn oversized_accumulator_rejected() {
-        let err = Conv2d::new(StandardCell::Accurate.cell(), &[vec![u64::MAX >> 4]], 8)
-            .expect_err("too wide");
-        assert!(matches!(err, DatapathError::TooWide { .. }));
+        // The last two gains overflow a u64 sum.
+        for kernel in [
+            vec![vec![u64::MAX >> 4]],
+            vec![vec![u64::MAX, 2]],
+            vec![vec![1 << 63], vec![1 << 63]],
+        ] {
+            let err = Conv2d::new(StandardCell::Accurate.cell(), &kernel, 8).expect_err("too wide");
+            assert!(matches!(err, DatapathError::TooWide { .. }), "{kernel:?}");
+        }
     }
 
     #[test]

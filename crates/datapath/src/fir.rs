@@ -10,6 +10,8 @@
 
 use sealpaa_cells::{AdderChain, Cell};
 
+use crate::serial;
+
 /// A FIR filter `y[n] = Σ_t coeff[t] · x[n − t]` whose every addition runs
 /// through an approximate accumulator chain.
 ///
@@ -41,7 +43,7 @@ impl FirFilter {
     /// # Errors
     ///
     /// Returns [`DatapathError::TooWide`](crate::DatapathError::TooWide) if
-    /// the worst-case accumulator would exceed 63 bits.
+    /// the worst-case accumulator would exceed 62 bits.
     ///
     /// # Panics
     ///
@@ -53,14 +55,8 @@ impl FirFilter {
     ) -> Result<Self, crate::DatapathError> {
         assert!(!coefficients.is_empty(), "a FIR filter needs taps");
         assert!(sample_width > 0, "samples need at least one bit");
-        let gain: u64 = coefficients.iter().sum();
-        assert!(gain > 0, "at least one coefficient must be non-zero");
-        let acc_width = sample_width + (64 - gain.leading_zeros() as usize);
-        if acc_width > 62 {
-            return Err(crate::DatapathError::TooWide { width: acc_width });
-        }
         Ok(FirFilter {
-            accumulator: AdderChain::uniform(cell, acc_width),
+            accumulator: serial::accumulator(cell, coefficients.iter().copied(), sample_width)?,
             coefficients: coefficients.to_vec(),
             sample_width,
         })
@@ -84,32 +80,19 @@ impl FirFilter {
     }
 
     fn run(&self, samples: &[u64], exact: bool) -> Vec<u64> {
-        let mask = if self.sample_width >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.sample_width) - 1
-        };
-        let mut out = Vec::with_capacity(samples.len());
-        for n in 0..samples.len() {
-            let mut acc = 0u64;
-            for (t, &coeff) in self.coefficients.iter().enumerate() {
-                let Some(index) = n.checked_sub(t) else { break };
-                let x = samples[index] & mask;
-                // coeff · x as shift-adds over the coefficient's set bits.
-                for bit in 0..64 {
-                    if (coeff >> bit) & 1 == 1 {
-                        let term = x << bit;
-                        acc = if exact {
-                            self.accumulator.accurate_sum(acc, term, false).sum_bits()
-                        } else {
-                            self.accumulator.add(acc, term, false).sum_bits()
-                        };
-                    }
-                }
-            }
-            out.push(acc);
-        }
-        out
+        // The accumulator check in `new` keeps `sample_width` below 62.
+        let mask = (1u64 << self.sample_width) - 1;
+        (0..samples.len())
+            .map(|n| {
+                let window = samples[..=n].iter().rev();
+                self.coefficients
+                    .iter()
+                    .zip(window)
+                    .fold(0, |acc, (&coeff, &x)| {
+                        serial::shift_add(&self.accumulator, acc, x & mask, coeff, exact)
+                    })
+            })
+            .collect()
     }
 
     /// Compares the approximate and exact outputs on a stream and
@@ -136,11 +119,7 @@ impl FirFilter {
             outputs: approx.len() as u64,
             wrong_outputs: wrong,
             mse,
-            psnr_db: if mse == 0.0 || peak == 0 {
-                None
-            } else {
-                Some(10.0 * ((peak as f64).powi(2) / mse).log10())
-            },
+            psnr_db: serial::psnr_db(peak, mse),
             max_absolute_error: max_abs,
         }
     }
@@ -217,9 +196,15 @@ mod tests {
 
     #[test]
     fn accumulator_width_overflow_rejected() {
-        let err = FirFilter::new(StandardCell::Accurate.cell(), &[u64::MAX >> 8], 16)
-            .expect_err("too wide");
-        assert!(matches!(err, crate::DatapathError::TooWide { .. }));
+        // The last two gains overflow a u64 sum.
+        for taps in [&[u64::MAX >> 8][..], &[u64::MAX, 2], &[1 << 63, 1 << 63]] {
+            let err =
+                FirFilter::new(StandardCell::Accurate.cell(), taps, 16).expect_err("too wide");
+            assert!(
+                matches!(err, crate::DatapathError::TooWide { .. }),
+                "{taps:?}"
+            );
+        }
     }
 
     #[test]

@@ -13,20 +13,11 @@ impl Signal {
     pub fn index(self) -> usize {
         self.0
     }
-
-    pub(crate) fn new(index: usize) -> Signal {
-        Signal(index)
-    }
 }
 
 /// Errors produced while building or evaluating a [`Datapath`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DatapathError {
-    /// Two inputs share a name.
-    DuplicateInput {
-        /// The repeated name.
-        name: String,
-    },
     /// An adder chain is narrower than one of its operands, which would
     /// silently truncate bits.
     ChainTooNarrow {
@@ -78,7 +69,6 @@ pub enum DatapathError {
 impl fmt::Display for DatapathError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DatapathError::DuplicateInput { name } => write!(f, "duplicate input name {name:?}"),
             DatapathError::ChainTooNarrow { chain, operand } => write!(
                 f,
                 "adder chain is {chain} bits wide but an operand has {operand} bits"
@@ -112,7 +102,7 @@ impl fmt::Display for DatapathError {
 impl std::error::Error for DatapathError {}
 
 #[derive(Debug, Clone)]
-pub(crate) enum Node {
+enum Node {
     Input {
         name: String,
     },
@@ -214,7 +204,7 @@ impl Datapath {
     pub fn constant(&mut self, value: u64, width: usize) -> Signal {
         assert!((1..=63).contains(&width), "constant width must be 1..=63");
         assert!(
-            width == 63 || value < (1u64 << width),
+            value < (1u64 << width),
             "constant {value} does not fit in {width} bits"
         );
         self.push(Node::Const { value }, width)
@@ -469,10 +459,6 @@ impl Datapath {
             Err(DatapathError::UnknownSignal { index: signal.0 })
         }
     }
-
-    pub(crate) fn node(&self, signal: Signal) -> &Node {
-        &self.nodes[signal.0]
-    }
 }
 
 fn mask(width: usize) -> u64 {
@@ -688,6 +674,12 @@ mod tests {
                 got: 1
             }
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn constant_must_fit_63_bits() {
+        let _ = Datapath::new().constant(1 << 63, 63);
     }
 
     #[test]

@@ -3,23 +3,27 @@
 //! The paper's introduction motivates the analysis with DSP-style
 //! accelerators and closes Sec. 1.1 noting that "the analysis complexity
 //! will further aggravate when these adders form an accelerator data path".
-//! This crate provides that layer:
+//! This crate provides that layer's circuits:
 //!
 //! * [`Datapath`] — a DAG of signals whose add nodes are concrete
 //!   [`sealpaa_cells::AdderChain`]s (homogeneous, hybrid, accurate — anything the cell
-//!   library expresses), evaluated bit-true and against an exact reference,
-//! * [`estimate`] — the analytical composition: per-bit signal
-//!   probabilities are propagated node by node (using the paper's machinery
-//!   per adder) and every adder gets its analytical error probability plus a
-//!   union-bound estimate for the whole datapath,
-//! * [`CsaTree`] — multi-operand carry-save reduction through approximate
-//!   3:2 compressors (the paper's CSA topology),
-//! * [`ShiftAddMultiplier`] — an approximate array-style multiplier that
-//!   accumulates partial products through approximate chains (the multiplier
-//!   context of reference 16 of the paper), and
-//! * [`FirFilter`] — a constant-coefficient FIR filter computed entirely
-//!   with approximate additions, the paper's image/DSP motivation made
-//!   concrete.
+//!   library expresses), evaluated bit-true and against an exact reference.
+//!   The `sealpaa-propagate` crate is its analytical estimator: it
+//!   propagates per-bit marginals, per-adder error probabilities and error
+//!   moments through the graph.
+//! * Three serial models, each one approximate accumulator that adds
+//!   `x << bit` for every set bit of a constant coefficient and drops its
+//!   carry-out: [`ShiftAddMultiplier`] (the multiplier context of
+//!   reference 16 of the paper), [`FirFilter`] and [`Conv2d`] (the paper's
+//!   DSP and image motivation), each measured against its exact output.
+//!
+//! The serial models stay beside the graph builders in
+//! `sealpaa_propagate::topologies` because they are a different circuit: a
+//! topology is a tree of adders, each sized for its level, while a serial
+//! model reuses one accumulator and drops its carry-out, which a
+//! [`Datapath`] cannot express without a new node kind. Building them as
+//! graphs would change every figure `sealpaa fir` and `sealpaa multiplier`
+//! print.
 //!
 //! # Examples
 //!
@@ -44,15 +48,12 @@
 #![warn(missing_docs)]
 
 mod conv2d;
-mod csa;
-mod estimate;
 mod fir;
 mod graph;
 mod multiplier;
+mod serial;
 
 pub use conv2d::{Conv2d, Image};
-pub use csa::CsaTree;
-pub use estimate::{estimate, simulate, AdderEstimate, DatapathEstimate};
 pub use fir::{FirFilter, FirQuality};
 pub use graph::{Datapath, DatapathError, Evaluation, NodeKind, Signal};
 pub use multiplier::{MultiplierQuality, ShiftAddMultiplier};

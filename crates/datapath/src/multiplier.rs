@@ -10,6 +10,8 @@
 use sealpaa_cells::{AdderChain, Cell};
 use sealpaa_sim::Xoshiro256pp;
 
+use crate::serial;
+
 /// A `width × width` unsigned multiplier whose partial-product accumulation
 /// runs through approximate adder chains.
 ///
@@ -55,22 +57,12 @@ impl ShiftAddMultiplier {
         self.width
     }
 
-    /// Multiplies two operands (truncated to `width` bits) through the
-    /// approximate accumulator.
+    /// Multiplies `a` by the coefficient `b` (both truncated to `width`
+    /// bits) through the approximate accumulator: one addition of
+    /// `a << i` per set bit `b_i`, LSB first.
     pub fn multiply(&self, a: u64, b: u64) -> u64 {
         let mask = (1u64 << self.width) - 1;
-        let (a, b) = (a & mask, b & mask);
-        let product_mask = (1u64 << (2 * self.width)) - 1;
-        let mut acc = 0u64;
-        for i in 0..self.width {
-            if (b >> i) & 1 == 1 {
-                acc = self
-                    .accumulator
-                    .add(acc, (a << i) & product_mask, false)
-                    .sum_bits();
-            }
-        }
-        acc
+        serial::shift_add(&self.accumulator, 0, a & mask, b & mask, false)
     }
 
     /// `true` if the approximate product equals `a · b` (over truncated

@@ -10,8 +10,11 @@
 //!   (`E[D_a·D_b] = E[D_a]·E[D_b]`), exact on tree-shaped cones. `D_adder`'s
 //!   own moments come from the paper's per-adder machinery
 //!   ([`error_magnitude`]) under the *propagated marginal* bit
-//!   probabilities with bit independence assumed — the same approximation
-//!   [`sealpaa_datapath::estimate`] documents.
+//!   probabilities, treated as independent bits. That is exact when both
+//!   operands are input or constant bits, shifted or not, and an
+//!   approximation otherwise: an upstream adder's carries or a gate's
+//!   control correlate the bits of a signal, and a shared ancestor
+//!   correlates two operands.
 //! * **Shl k** — `D` scales by `2^k`, `D²` by `4^k`. Exact.
 //! * **Gate** — `D_out = B·D_a` for the control bit `B`; requires an
 //!   error-free control (`E[D²] = 0` on the control signal), then
@@ -497,9 +500,9 @@ impl<T: Prob> MomentPrediction<T> {
         (mse > 0.0 && peak > 0).then(|| 10.0 * ((peak as f64).powi(2) / mse).log10())
     }
 
-    /// `1 − Π (1 − pᵢ)` over the per-adder error probabilities — the same
-    /// union-style proxy as
-    /// [`DatapathEstimate::any_adder_error`](sealpaa_datapath::DatapathEstimate).
+    /// `1 − Π (1 − pᵢ)` over the per-adder error probabilities: the
+    /// probability that some adder errs if adders erred independently, a
+    /// union-style proxy for the output error rate.
     pub fn any_adder_error(&self) -> f64 {
         1.0 - self
             .adders
@@ -560,4 +563,89 @@ pub fn predict(
         None
     };
     Ok(Prediction { moments, pmf })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sealpaa_cells::StandardCell;
+
+    fn chain(cell: StandardCell, width: usize) -> AdderChain {
+        AdderChain::uniform(cell.cell(), width)
+    }
+
+    #[test]
+    fn stepper_rejects_bad_input_bindings() {
+        let mut dp = Datapath::new();
+        let _ = dp.input("x", 4);
+        let wrapped = |inputs: &[(&str, Vec<f64>)]| {
+            let err = GraphStepper::new(&dp, inputs).expect_err("bad binding");
+            match err {
+                PropagateError::Datapath(err) => err,
+                other => panic!("expected a wrapped DatapathError, got {other:?}"),
+            }
+        };
+        let bad = |name: &str| DatapathError::BadProbabilities {
+            name: name.to_string(),
+        };
+        assert_eq!(wrapped(&[("x", vec![0.5; 3])]), bad("x"));
+        assert_eq!(wrapped(&[("x", vec![0.5, 0.5, 0.5, 1.5])]), bad("x"));
+        assert_eq!(
+            wrapped(&[("y", vec![0.5; 4])]),
+            DatapathError::UnknownInput {
+                name: "y".to_string()
+            }
+        );
+        assert_eq!(
+            wrapped(&[]),
+            DatapathError::MissingInput {
+                name: "x".to_string()
+            }
+        );
+    }
+
+    #[test]
+    fn constants_and_shifts_propagate_deterministic_bits() {
+        let mut dp = Datapath::new();
+        let x = dp.input("x", 4);
+        let k = dp.constant(0b1010, 4);
+        let shifted = dp.shl(k, 1).expect("fits");
+        let sum = dp
+            .add(x, shifted, chain(StandardCell::Accurate, 5))
+            .expect("fits");
+        let mut stepper = GraphStepper::new(&dp, &[("x", vec![0.5; 4])]).expect("valid inputs");
+        stepper.run_to_end().expect("no gates");
+        assert_eq!(stepper.state(k).bits, vec![0.0, 1.0, 0.0, 1.0]);
+        assert_eq!(stepper.state(k).value_mean, 10.0);
+        assert_eq!(stepper.state(shifted).bits, vec![0.0, 0.0, 1.0, 0.0, 1.0]);
+        assert_eq!(stepper.state(shifted).value_mean, 20.0);
+        assert_eq!(stepper.state(sum).bits.len(), dp.width(sum));
+    }
+
+    #[test]
+    fn any_adder_error_tracks_monte_carlo_on_a_tree() {
+        let mut dp = Datapath::new();
+        let leaves: Vec<Signal> = ["a", "b", "c", "d"]
+            .into_iter()
+            .map(|name| dp.input(name, 6))
+            .collect();
+        let cell = StandardCell::Lpaa6;
+        let ab = dp.add(leaves[0], leaves[1], chain(cell, 6)).expect("fits");
+        let cd = dp.add(leaves[2], leaves[3], chain(cell, 6)).expect("fits");
+        let sum = dp.add(ab, cd, chain(cell, 7)).expect("fits");
+        let inputs: Vec<(&str, Vec<f64>)> = ["a", "b", "c", "d"]
+            .into_iter()
+            .map(|name| (name, vec![0.5; 6]))
+            .collect();
+        let est = propagate_moments(&dp, sum, &inputs)
+            .expect("valid inputs")
+            .any_adder_error();
+        let mc = crate::monte_carlo(&dp, sum, &inputs, 40_000, 11)
+            .expect("valid inputs")
+            .error_rate;
+        // Adder deviations under the independence proxy land in the same
+        // regime as, and on the upper side of, the true output error rate.
+        assert!(est >= mc - 0.02, "est {est} vs mc {mc}");
+        assert!((est - mc).abs() < 0.15, "est {est} vs mc {mc}");
+    }
 }

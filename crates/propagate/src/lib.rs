@@ -2,10 +2,12 @@
 //!
 //! The paper's closing observation — "the analysis complexity will further
 //! aggravate when these adders form an accelerator data path" — is this
-//! crate's subject. Where [`sealpaa_datapath::estimate`] composes error
-//! *probabilities*, this crate composes full error *random variables*:
-//! every signal carries `(E[D], E[D²])` for its error `D = approx − exact`
-//! plus `(E[V], E[V²])` for its exact value, so the output's predicted
+//! crate's subject, and this crate is the one estimator for a
+//! [`Datapath`](sealpaa_datapath::Datapath). It composes full error
+//! *random variables*, not just error probabilities: every signal carries
+//! its marginal bit probabilities, `(E[D], E[D²])` for its error
+//! `D = approx − exact` and `(E[V], E[V²])` for its exact value, and every
+//! adder its own `P(error)` and error moments, so the output's predicted
 //! MSE, SNR and PSNR come out of one linear-time graph walk — no
 //! simulation in the loop.
 //!

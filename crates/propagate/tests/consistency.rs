@@ -10,7 +10,7 @@ use sealpaa_cells::{AdderChain, StandardCell};
 use sealpaa_datapath::Datapath;
 use sealpaa_num::{Prob, Rational};
 use sealpaa_propagate::{
-    brute_force_moments, exact_tree_moments, propagate_moments, PropagateError,
+    brute_force_moments, exact_tree_moments, propagate_moments, GraphStepper, PropagateError,
 };
 
 fn r(n: u64, d: u64) -> Rational {
@@ -152,4 +152,32 @@ fn accurate_cells_are_error_free_in_every_engine() {
     assert!(fast.error_second.is_zero());
     assert!(brute.error_probability.is_zero());
     assert!(brute.second.is_zero());
+
+    // A 4-input tree of 6-bit operands: too many input bits for brute
+    // force, so only the fast engine's adders and marginals are checked.
+    let mut dp = Datapath::new();
+    let leaves: Vec<_> = ["a", "b", "c", "d"]
+        .into_iter()
+        .map(|name| dp.input(name, 6))
+        .collect();
+    let accurate = |width| AdderChain::uniform(StandardCell::Accurate.cell(), width);
+    let ab = dp.add(leaves[0], leaves[1], accurate(6)).expect("fits");
+    let cd = dp.add(leaves[2], leaves[3], accurate(6)).expect("fits");
+    let sum = dp.add(ab, cd, accurate(7)).expect("fits");
+    let inputs: Vec<(&str, Vec<Rational>)> = ["a", "b", "c", "d"]
+        .into_iter()
+        .map(|name| (name, vec![r(1, 2); 6]))
+        .collect();
+    let mut stepper = GraphStepper::new(&dp, &inputs).expect("valid");
+    stepper.run_to_end().expect("no gates");
+    let fast = stepper.prediction(sum).expect("pushed");
+    assert_eq!(fast.adders.len(), 3);
+    assert!(fast.adders.iter().all(|a| a.error_probability.is_zero()));
+    assert_eq!(fast.any_adder_error(), 0.0);
+    // A fair exact adder keeps bits balanced.
+    let bits = &stepper.state(sum).bits;
+    assert!(bits
+        .iter()
+        .all(|p| Rational::zero() <= *p && *p <= Rational::one()));
+    assert_eq!(bits[0], r(1, 2));
 }

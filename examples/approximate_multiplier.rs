@@ -5,7 +5,8 @@
 //! Run with: `cargo run --release --example approximate_multiplier`
 
 use sealpaa::cells::{AdderChain, StandardCell};
-use sealpaa::datapath::{estimate, simulate, Datapath, ShiftAddMultiplier};
+use sealpaa::datapath::{Datapath, ShiftAddMultiplier};
+use sealpaa::propagate::{monte_carlo, propagate_moments};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- 8x8 shift-add multipliers, one per cell --------------------
@@ -46,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into_iter()
         .map(|n| (n, vec![0.3; 8]))
         .collect();
-    let est = estimate(&dp, &input_probs)?;
+    let est = propagate_moments(&dp, sum, &input_probs)?;
     println!(
         "\n4-input {} adder tree (8-bit operands, p = 0.3):",
         cell.name()
@@ -60,9 +61,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "  composed P(any adder errs)  = {:.5} (independence heuristic)",
-        est.any_adder_error
+        est.any_adder_error()
     );
-    let (mc_error, mc_med) = simulate(&dp, sum, &input_probs, 100_000, 7)?;
-    println!("  Monte-Carlo output error    = {mc_error:.5} (mean |ED| = {mc_med:.3})");
+    let mc = monte_carlo(&dp, sum, &input_probs, 100_000, 7)?;
+    println!(
+        "  Monte-Carlo output error    = {:.5} (MSE = {:.3})",
+        mc.error_rate, mc.mse
+    );
     Ok(())
 }

@@ -147,6 +147,8 @@ run env MICROBENCH_QUICK=1 MICROBENCH_SAMPLE_MS=5 \
     cargo bench -p sealpaa-bench --bench blocks_kernels
 run env MICROBENCH_QUICK=1 MICROBENCH_SAMPLE_MS=5 \
     cargo bench -p sealpaa-bench --bench datapath_kernels
+run env MICROBENCH_QUICK=1 MICROBENCH_SAMPLE_MS=5 \
+    cargo bench -p sealpaa-bench --bench extensions
 # The daemon throughput bench doubles as an end-to-end smoke of the event
 # loop: it boots an in-process server and drives serialized, pipelined and
 # batch traffic over real sockets (quick mode never rewrites BENCH JSON).

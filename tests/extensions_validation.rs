@@ -8,8 +8,9 @@ use std::collections::BTreeMap;
 
 use sealpaa::analysis::{error_distribution, error_magnitude, success_sum_probabilities};
 use sealpaa::cells::{AdderChain, InputProfile, StandardCell};
-use sealpaa::datapath::{estimate, Datapath};
+use sealpaa::datapath::Datapath;
 use sealpaa::num::{Prob, Rational};
+use sealpaa::propagate::{propagate_moments, GraphStepper};
 use sealpaa::sim::exhaustive;
 use sealpaa::{analyze, exact_error_analysis};
 
@@ -93,11 +94,12 @@ fn single_adder_datapath_estimate_equals_plain_analysis() {
     let x = dp.input("x", 6);
     let y = dp.input("y", 6);
     let chain = AdderChain::uniform(StandardCell::Lpaa3.cell(), 6);
-    let _sum = dp.add(x, y, chain.clone()).expect("fits");
+    let sum = dp.add(x, y, chain.clone()).expect("fits");
 
     let pa: Vec<f64> = (0..6).map(|i| 0.1 + 0.1 * i as f64).collect();
     let pb: Vec<f64> = (0..6).map(|i| 0.9 - 0.1 * i as f64).collect();
-    let est = estimate(&dp, &[("x", pa.clone()), ("y", pb.clone())]).expect("valid inputs");
+    let est =
+        propagate_moments(&dp, sum, &[("x", pa.clone()), ("y", pb.clone())]).expect("valid inputs");
 
     let profile = InputProfile::new(pa, pb, 0.0).expect("valid profile");
     let direct = analyze(&chain, &profile).expect("widths match");
@@ -123,19 +125,17 @@ fn datapath_input_probabilities_flow_to_downstream_adder() {
     let _out = dp.add(pass, zero, approx.clone()).expect("fits");
 
     let px = vec![0.3, 0.6, 0.2, 0.8];
-    let est = estimate(&dp, &[("x", px.clone())]).expect("valid inputs");
+    let mut est = GraphStepper::new(&dp, &[("x", px.clone())]).expect("valid inputs");
+    est.run_to_end().expect("no gates");
     for (i, &p) in px.iter().enumerate() {
-        assert!(
-            (est.signal_probabilities[pass.index()][i] - p).abs() < 1e-12,
-            "bit {i}"
-        );
+        assert!((est.state(pass).bits[i] - p).abs() < 1e-12, "bit {i}");
     }
     // The second adder's estimate equals direct analysis over those probs.
     let mut pa = px.clone();
     pa.push(0.0); // the carry bit of x+0 is never set
     let profile = InputProfile::new(pa, vec![0.0; 5], 0.0).expect("valid profile");
     let direct = analyze(&approx, &profile).expect("widths match");
-    assert!((est.adders[1].error_probability - direct.error_probability()).abs() < 1e-12);
+    assert!((est.adders()[1].error_probability - direct.error_probability()).abs() < 1e-12);
 }
 
 #[test]
