@@ -7,8 +7,8 @@
 //!
 //! * `distance` — one full ED-PMF of a heterogeneous width-12 configuration,
 //!   analytically (one pass over the bit positions, carry-state DP) and
-//!   exhaustively (all `2^(2N+1)` operand/cin assignments, 64 SWAR lanes per
-//!   pass). The differential suite in `crates/blocks/tests/differential.rs`
+//!   exhaustively (all `2^(2N+1)` operand/cin assignments, 64–512 lanes per
+//!   pass of the shared bitsliced kernel). The differential suite in `crates/blocks/tests/differential.rs`
 //!   pins that both produce the identical distribution, exactly, in
 //!   `Rational`.
 //! * `dse` — the provably-best mean-ED design over every {3,4}-wide,

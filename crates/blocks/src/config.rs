@@ -21,9 +21,12 @@ use std::str::FromStr;
 use sealpaa_cells::{Cell, StandardCell, TruthTable};
 use sealpaa_gear::GearConfig;
 
+use crate::exhaustive::MAX_EXHAUSTIVE_WIDTH;
+
 /// Widest configuration the analytical engine accepts. Matches the trace
-/// crate's `MAX_REPLAY_WIDTH`: every error distance then fits comfortably
-/// in the `i128` accumulators both layers share (`|D| ≤ 2^48`).
+/// crate's `MAX_REPLAY_WIDTH`: every error distance then fits the `i64`
+/// keys of [`ErrorDistribution`](sealpaa_core::ErrorDistribution)
+/// (`|D| < 2^48`), and its square the `u128` of the MSE.
 pub const MAX_BLOCKS_WIDTH: usize = 47;
 
 /// Errors produced by configuration construction and the analyses.
@@ -123,7 +126,7 @@ impl fmt::Display for BlockError {
             ),
             BlockError::ExhaustiveWidthTooLarge { width } => write!(
                 f,
-                "exhaustive enumeration supports at most 16 bits, got {width}"
+                "exhaustive enumeration supports at most {MAX_EXHAUSTIVE_WIDTH} bits, got {width}"
             ),
         }
     }

@@ -38,7 +38,7 @@
 use std::collections::BTreeMap;
 
 use sealpaa_cells::{FaInput, InputProfile, TruthTable};
-use sealpaa_core::ErrorDistanceDistribution;
+use sealpaa_core::ErrorDistribution;
 use sealpaa_num::Prob;
 
 use crate::config::{BlockConfig, BlockError};
@@ -65,7 +65,7 @@ struct Snapshot<T> {
     covered: usize,
     open: Vec<usize>,
     pending: Vec<(usize, usize)>,
-    states: BTreeMap<u32, BTreeMap<i128, T>>,
+    states: BTreeMap<u32, BTreeMap<i64, T>>,
 }
 
 /// Incremental error-distance analysis over a growing block prefix.
@@ -112,7 +112,7 @@ pub struct BlockDistanceStepper<T> {
     pending: Vec<(usize, usize)>,
     /// Joint-carry state (bit 0: exact carry; bit `1+i`: slot `i`'s
     /// carry) → partial error distance → probability mass.
-    states: BTreeMap<u32, BTreeMap<i128, T>>,
+    states: BTreeMap<u32, BTreeMap<i64, T>>,
     snapshots: Vec<Snapshot<T>>,
 }
 
@@ -130,7 +130,7 @@ impl<T: Prob> BlockDistanceStepper<T> {
                 width: profile.width(),
             });
         }
-        let mut states: BTreeMap<u32, BTreeMap<i128, T>> = BTreeMap::new();
+        let mut states: BTreeMap<u32, BTreeMap<i64, T>> = BTreeMap::new();
         let p_cin = profile.p_cin().clone();
         if !p_cin.complement().is_zero() {
             states.insert(0, BTreeMap::from([(0, p_cin.complement())]));
@@ -255,7 +255,7 @@ impl<T: Prob> BlockDistanceStepper<T> {
     /// Returns [`BlockError::Incomplete`] unless the pushed blocks tile the
     /// target width exactly, and [`BlockError::SupportExceeded`] on support
     /// overflow.
-    pub fn distribution(&self) -> Result<ErrorDistanceDistribution<T>, BlockError> {
+    pub fn distribution(&self) -> Result<ErrorDistribution<T>, BlockError> {
         let width = self.width();
         if self.covered != width {
             return Err(BlockError::Incomplete {
@@ -282,8 +282,8 @@ impl<T: Prob> BlockDistanceStepper<T> {
         // Every interior window closed during the advance; exactly the top
         // block's window (end == width) is still open in slot 0.
         debug_assert_eq!(tail.open.len(), 1);
-        let carry_value = 1i128 << width;
-        let mut pmf: BTreeMap<i128, T> = BTreeMap::new();
+        let carry_value = 1i64 << width;
+        let mut pmf: BTreeMap<i64, T> = BTreeMap::new();
         for (key, masses) in &tail.states {
             let exact_carry = key & 1 == 1;
             let top_carry = key & 2 == 2;
@@ -300,7 +300,7 @@ impl<T: Prob> BlockDistanceStepper<T> {
                 *entry = entry.clone() + mass.clone();
             }
         }
-        Ok(ErrorDistanceDistribution {
+        Ok(ErrorDistribution {
             pmf: pmf.into_iter().filter(|(_, p)| !p.is_zero()).collect(),
         })
     }
@@ -339,7 +339,7 @@ impl<T: Prob> BlockDistanceStepper<T> {
         let slot_bit = 1u32 << (1 + self.open.len());
         self.open.push(j);
         if j == 0 {
-            let mut next: BTreeMap<u32, BTreeMap<i128, T>> = BTreeMap::new();
+            let mut next: BTreeMap<u32, BTreeMap<i64, T>> = BTreeMap::new();
             for (key, masses) in std::mem::take(&mut self.states) {
                 let new_key = if key & 1 == 1 { key | slot_bit } else { key };
                 next.insert(new_key, masses);
@@ -354,7 +354,7 @@ impl<T: Prob> BlockDistanceStepper<T> {
         self.open.remove(slot);
         let bit = 1u32 << (1 + slot);
         let low_mask = bit - 1;
-        let mut next: BTreeMap<u32, BTreeMap<i128, T>> = BTreeMap::new();
+        let mut next: BTreeMap<u32, BTreeMap<i64, T>> = BTreeMap::new();
         for (key, masses) in std::mem::take(&mut self.states) {
             let new_key = (key & low_mask) | ((key >> 1) & !low_mask);
             let target = next.entry(new_key).or_default();
@@ -396,7 +396,7 @@ impl<T: Prob> BlockDistanceStepper<T> {
             return Ok(());
         }
         let weight_of = |bit: bool, p: &T| if bit { p.clone() } else { p.complement() };
-        let mut next: BTreeMap<u32, BTreeMap<i128, T>> = BTreeMap::new();
+        let mut next: BTreeMap<u32, BTreeMap<i64, T>> = BTreeMap::new();
         let mut support = 0usize;
         for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
             let w = weight_of(a, &pa) * weight_of(b, &pb);
@@ -406,13 +406,13 @@ impl<T: Prob> BlockDistanceStepper<T> {
             for (key, masses) in &self.states {
                 let exact_out = self.accurate.eval(FaInput::new(a, b, key & 1 == 1));
                 let mut new_key = exact_out.carry_out as u32;
-                let mut dv = 0i128;
+                let mut dv = 0i64;
                 for (slot, &j) in self.open.iter().enumerate() {
                     let carry = key & (1 << (1 + slot)) != 0;
                     let out = self.blocks[j].table.eval(FaInput::new(a, b, carry));
                     new_key |= (out.carry_out as u32) << (1 + slot);
                     if owner == Some(slot) {
-                        dv = (out.sum as i128 - exact_out.sum as i128) << t;
+                        dv = (out.sum as i64 - exact_out.sum as i64) << t;
                     }
                 }
                 let target = next.entry(new_key).or_default();
@@ -463,7 +463,7 @@ impl<T: Prob> BlockDistanceStepper<T> {
 pub fn error_distance_distribution<T: Prob>(
     config: &BlockConfig,
     profile: &InputProfile<T>,
-) -> Result<ErrorDistanceDistribution<T>, BlockError> {
+) -> Result<ErrorDistribution<T>, BlockError> {
     if config.width() != profile.width() {
         return Err(BlockError::WidthMismatch {
             expected: config.width(),
@@ -487,7 +487,7 @@ mod tests {
     fn brute_force_pmf(
         config: &BlockConfig,
         profile: &InputProfile<Rational>,
-    ) -> BTreeMap<i128, Rational> {
+    ) -> BTreeMap<i64, Rational> {
         let adder = BlockAdder::new(config.clone());
         let width = config.width();
         let mut pmf = BTreeMap::new();
@@ -513,7 +513,7 @@ mod tests {
     fn assert_matches_brute_force(spec: &str, profile: &InputProfile<Rational>) {
         let config: BlockConfig = spec.parse().expect("parses");
         let dist = error_distance_distribution(&config, profile).expect("in range");
-        let got: BTreeMap<i128, Rational> = dist.pmf.iter().cloned().collect();
+        let got: BTreeMap<i64, Rational> = dist.pmf.iter().cloned().collect();
         assert_eq!(got, brute_force_pmf(&config, profile), "{spec}");
     }
 
@@ -663,7 +663,7 @@ mod tests {
     #[test]
     fn wide_accurate_config_runs_at_the_width_bound() {
         // Width 47 = MAX_BLOCKS_WIDTH: the accurate-cell support stays tiny
-        // and every distance fits the shared i128 accumulators.
+        // and every distance fits the i64 support keys.
         let config =
             BlockConfig::homogeneous(47, 8, 4, StandardCell::Accurate.cell()).expect("valid");
         let profile = InputProfile::<f64>::uniform(47);
@@ -674,8 +674,8 @@ mod tests {
         // Deficits are sums of −2^{start_j} over mispredicted blocks.
         assert!(dist.pmf.iter().all(|&(d, _)| d <= 0));
         assert_eq!(
-            dist.max_absolute(),
-            (1u128 << 40) + (1 << 32) + (1 << 24) + (1 << 16) + (1 << 8)
+            dist.max_absolute_error(),
+            (1u64 << 40) + (1 << 32) + (1 << 24) + (1 << 16) + (1 << 8)
         );
     }
 }

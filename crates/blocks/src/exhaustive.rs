@@ -4,16 +4,16 @@
 //! The sweep enumerates every `(a, b)` pair (and both carry-ins) and
 //! histograms the signed error distance `approx − exact`. Like
 //! `sealpaa-sim`'s exhaustive sweep it runs one SIMD word of additions per
-//! step (64–512 lanes, following the runtime-detected [`Backend`]):
-//! operand `b` advances through consecutive values whose low six bit
-//! planes are compile-time lane patterns, each block window ripples its
-//! cell's truth table across all lanes at once (SWAR over the eight table
-//! rows), and the accurate reference reuses the generic
+//! step (64–512 lanes, following the runtime-detected [`Backend`]) on the
+//! shared [`CompiledKernel`]: operand `b` advances through consecutive
+//! values whose low six bit planes are compile-time lane patterns, each
+//! block window is one uniform chain of its cell compiled once per sweep
+//! and evaluated on the window's planes, and the accurate reference is
 //! [`accurate_eval`]. Lanes whose outputs match the reference are counted
-//! in bulk off the mismatch word; only deviating lanes pay for value
-//! reconstruction. Lane order is ascending case order on every backend,
-//! and all counts are integers, so the histogram is byte-identical across
-//! backends.
+//! in bulk off the mismatch word; only deviating lanes are settled, one
+//! 64-lane subword at a time by [`error_distances64`]. Lane order is
+//! ascending case order on every backend, and all counts are integers, so
+//! the histogram is byte-identical across backends.
 //!
 //! Work is metered per block: each case charges one bit-addition per
 //! *window* bit (prediction bits are re-added, and the meter says so) plus
@@ -21,12 +21,13 @@
 //! between homogeneous chains and heterogeneous block sweeps.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use sealpaa_cells::{
-    accurate_eval, dispatch, lane_value, splat_planes, Backend, FaInput, SimdKernel, SimdWord,
-    TruthTable,
+    accurate_eval, dispatch, error_distances64, splat_planes, AdderChain, Backend, CompiledChain,
+    CompiledKernel, SimdKernel, SimdWord,
 };
-use sealpaa_core::ErrorDistanceDistribution;
+use sealpaa_core::ErrorDistribution;
 use sealpaa_num::Prob;
 use sealpaa_sim::SimWork;
 
@@ -54,7 +55,7 @@ const LANE_PATTERNS: [u64; 6] = [
 pub struct ExhaustiveDistanceReport {
     /// `d → number of input combinations with error distance d`, over all
     /// `2^{2N+1}` combinations (both carry-ins).
-    pub histogram: BTreeMap<i128, u64>,
+    pub histogram: BTreeMap<i64, u64>,
     /// Work performed, metered per block window bit.
     pub work: SimWork,
 }
@@ -70,115 +71,15 @@ impl ExhaustiveDistanceReport {
     /// `InputProfile::uniform`, which is what differential tests compare.
     ///
     /// [`error_distance_distribution`]: crate::error_distance_distribution
-    pub fn to_distribution<T: Prob>(&self) -> ErrorDistanceDistribution<T> {
+    pub fn to_distribution<T: Prob>(&self) -> ErrorDistribution<T> {
         let total = self.cases();
-        ErrorDistanceDistribution {
+        ErrorDistribution {
             pmf: self
                 .histogram
                 .iter()
                 .map(|(&d, &count)| (d, T::from_ratio(count, total)))
                 .collect(),
         }
-    }
-}
-
-/// A block configuration compiled for 64-lane evaluation: per block, the
-/// window geometry plus the cell's truth table as row masks.
-struct BitslicedBlocks {
-    blocks: Vec<BitslicedBlock>,
-}
-
-struct BitslicedBlock {
-    window_start: usize,
-    result_start: usize,
-    end: usize,
-    accurate: bool,
-    /// Bit `r` set iff table row `r` outputs sum = 1.
-    sum_rows: u8,
-    /// Bit `r` set iff table row `r` outputs carry = 1.
-    carry_rows: u8,
-}
-
-/// Evaluates one truth table on `W::LANES` lanes by masking each of its 8
-/// rows.
-#[inline(always)]
-fn table_eval<W: SimdWord>(sum_rows: u8, carry_rows: u8, a: W, b: W, c: W) -> (W, W) {
-    let mut sum = W::zero();
-    let mut carry = W::zero();
-    for input in FaInput::all() {
-        let mask = (if input.a { a } else { !a })
-            & (if input.b { b } else { !b })
-            & (if input.carry_in { c } else { !c });
-        let row = 1u8 << input.index();
-        if sum_rows & row != 0 {
-            sum = sum | mask;
-        }
-        if carry_rows & row != 0 {
-            carry = carry | mask;
-        }
-    }
-    (sum, carry)
-}
-
-impl BitslicedBlocks {
-    fn compile(config: &BlockConfig) -> Self {
-        let accurate = TruthTable::accurate();
-        let blocks = config
-            .blocks()
-            .iter()
-            .enumerate()
-            .map(|(j, block)| {
-                let window = config.window(j);
-                let table = *block.cell.truth_table();
-                let (mut sum_rows, mut carry_rows) = (0u8, 0u8);
-                for input in FaInput::all() {
-                    let out = table.eval(input);
-                    let row = 1u8 << input.index();
-                    if out.sum {
-                        sum_rows |= row;
-                    }
-                    if out.carry_out {
-                        carry_rows |= row;
-                    }
-                }
-                BitslicedBlock {
-                    window_start: window.start,
-                    result_start: window.end - block.width,
-                    end: window.end,
-                    accurate: table == accurate,
-                    sum_rows,
-                    carry_rows,
-                }
-            })
-            .collect();
-        BitslicedBlocks { blocks }
-    }
-
-    /// Runs all blocks on `W::LANES` lanes; returns the approximate
-    /// carry-out word.
-    #[inline(always)]
-    fn eval<W: SimdWord>(&self, a_planes: &[W], b_planes: &[W], cin: W, sum_out: &mut [W]) -> W {
-        let mut cout = W::zero();
-        for (j, block) in self.blocks.iter().enumerate() {
-            let mut carry = if j == 0 { cin } else { W::zero() };
-            for t in block.window_start..block.end {
-                let (a, b) = (a_planes[t], b_planes[t]);
-                let (sum, next);
-                if block.accurate {
-                    let axb = a ^ b;
-                    sum = axb ^ carry;
-                    next = (a & b) | (carry & axb);
-                } else {
-                    (sum, next) = table_eval(block.sum_rows, block.carry_rows, a, b, carry);
-                }
-                if t >= block.result_start {
-                    sum_out[t] = sum;
-                }
-                carry = next;
-            }
-            cout = carry;
-        }
-        cout
     }
 }
 
@@ -227,7 +128,7 @@ pub fn exhaustive_distance_histogram_with_backend(
     if width > MAX_EXHAUSTIVE_WIDTH {
         return Err(BlockError::ExhaustiveWidthTooLarge { width });
     }
-    let mut histogram: BTreeMap<i128, u64> = BTreeMap::new();
+    let mut histogram: BTreeMap<i64, u64> = BTreeMap::new();
     let cases = 1u64 << (2 * width + 1);
     let work = SimWork {
         cases,
@@ -254,38 +155,47 @@ pub fn exhaustive_distance_histogram_with_backend(
     let backend = backend
         .unwrap_or_else(Backend::active)
         .narrowed_to_lanes(1usize << width);
-    let compiled = BitslicedBlocks::compile(config);
-    let histogram = dispatch(
-        backend,
-        HistogramWorker {
-            compiled: &compiled,
-            width,
-        },
-    );
+    let histogram = dispatch(backend, HistogramWorker { config });
     Ok(ExhaustiveDistanceReport { histogram, work })
 }
 
 /// The bitsliced sweep dispatched to the selected backend's word type.
 struct HistogramWorker<'a> {
-    compiled: &'a BitslicedBlocks,
-    width: usize,
+    config: &'a BlockConfig,
 }
 
 impl SimdKernel for HistogramWorker<'_> {
-    type Out = BTreeMap<i128, u64>;
+    type Out = BTreeMap<i64, u64>;
 
     #[inline(always)]
     fn run<W: SimdWord>(self) -> Self::Out {
-        let (compiled, width) = (self.compiled, self.width);
+        let config = self.config;
+        let width = config.width();
+        // Per block: its window, where its result segment starts, and its
+        // cell rippled across the window as one uniform chain.
+        let windows: Vec<(Range<usize>, usize, CompiledKernel<W>)> = config
+            .blocks()
+            .iter()
+            .enumerate()
+            .map(|(j, block)| {
+                let window = config.window(j);
+                let result_start = window.end - block.width;
+                let chain = AdderChain::uniform(block.cell.clone(), window.len());
+                let kernel = CompiledChain::compile(&chain).kernel();
+                (window, result_start, kernel)
+            })
+            .collect();
         let lanes_log2 = 6 + W::WORDS.trailing_zeros() as usize;
         debug_assert!(lanes_log2 <= width);
-        let mut histogram: BTreeMap<i128, u64> = BTreeMap::new();
+        let mut histogram: BTreeMap<i64, u64> = BTreeMap::new();
         let mut a_planes = vec![W::zero(); width];
         let mut b_planes = vec![W::zero(); width];
         let mut approx = vec![W::zero(); width];
         let mut exact = vec![W::zero(); width];
+        let mut window_sum = vec![W::zero(); width];
         let mut sub_approx = vec![0u64; width];
         let mut sub_exact = vec![0u64; width];
+        let mut ed = [0i64; 64];
         for cin in [W::zero(), W::ones()] {
             for a in 0..1u64 << width {
                 splat_planes(a, &mut a_planes);
@@ -299,7 +209,21 @@ impl SimdKernel for HistogramWorker<'_> {
                             W::splat(((b_base >> t) & 1).wrapping_neg())
                         };
                     }
-                    let approx_cout = compiled.eval(&a_planes, &b_planes, cin, &mut approx);
+                    // Block 0's window takes the carry-in, every other
+                    // window starts from 0; the top window's carry-out is
+                    // the adder's.
+                    let mut approx_cout = W::zero();
+                    for (j, (window, result_start, kernel)) in windows.iter().enumerate() {
+                        let sum = &mut window_sum[..window.len()];
+                        approx_cout = kernel.eval_into(
+                            &a_planes[window.clone()],
+                            &b_planes[window.clone()],
+                            if j == 0 { cin } else { W::zero() },
+                            sum,
+                        );
+                        approx[*result_start..window.end]
+                            .copy_from_slice(&sum[result_start - window.start..]);
+                    }
                     let exact_cout = accurate_eval(&a_planes, &b_planes, cin, &mut exact);
                     let mut mismatch = approx_cout ^ exact_cout;
                     for t in 0..width {
@@ -309,8 +233,8 @@ impl SimdKernel for HistogramWorker<'_> {
                     if !mismatch.any() {
                         continue;
                     }
-                    // Per-lane value reconstruction walks the wide word one
-                    // 64-lane subword at a time, in ascending case order.
+                    // Mismatching lanes are settled one 64-lane subword at
+                    // a time, in ascending case order.
                     for s in 0..W::WORDS {
                         let mm = mismatch.word(s);
                         if mm == 0 {
@@ -320,15 +244,19 @@ impl SimdKernel for HistogramWorker<'_> {
                             sub_approx[t] = approx[t].word(s);
                             sub_exact[t] = exact[t].word(s);
                         }
-                        let (ac, ec) = (approx_cout.word(s), exact_cout.word(s));
+                        error_distances64(
+                            &sub_approx,
+                            approx_cout.word(s),
+                            &sub_exact,
+                            exact_cout.word(s),
+                            mm,
+                            &mut ed,
+                        );
                         let mut lanes = mm;
                         while lanes != 0 {
                             let lane = lanes.trailing_zeros() as usize;
                             lanes &= lanes - 1;
-                            let approx_value = lane_value(&sub_approx, ac, lane);
-                            let exact_value = lane_value(&sub_exact, ec, lane);
-                            let d = approx_value as i128 - exact_value as i128;
-                            *histogram.entry(d).or_insert(0) += 1;
+                            *histogram.entry(ed[lane]).or_insert(0) += 1;
                         }
                     }
                 }
@@ -345,7 +273,7 @@ mod tests {
     use sealpaa_num::Rational;
 
     /// Scalar oracle over all combinations, straight off [`BlockAdder`].
-    fn scalar_histogram(config: &BlockConfig) -> BTreeMap<i128, u64> {
+    fn scalar_histogram(config: &BlockConfig) -> BTreeMap<i64, u64> {
         let adder = BlockAdder::new(config.clone());
         let width = config.width();
         let mut histogram = BTreeMap::new();
@@ -429,9 +357,11 @@ mod tests {
         let config =
             BlockConfig::homogeneous(15, 5, 2, sealpaa_cells::StandardCell::Accurate.cell())
                 .expect("valid");
-        assert!(matches!(
-            exhaustive_distance_histogram(&config),
-            Err(BlockError::ExhaustiveWidthTooLarge { width: 15 })
-        ));
+        let err = exhaustive_distance_histogram(&config).expect_err("too wide");
+        assert_eq!(err, BlockError::ExhaustiveWidthTooLarge { width: 15 });
+        assert_eq!(
+            err.to_string(),
+            "exhaustive enumeration supports at most 14 bits, got 15"
+        );
     }
 }

@@ -13,12 +13,15 @@
 //!
 //! * [`BlockAdder`] — the scalar functional model (one addition at a time);
 //! * [`exhaustive_distance_histogram`] — a bitsliced sweep over *all*
-//!   inputs, 64 additions per step, producing the exact error-distance
+//!   inputs on the workspace's one lane-parallel adder evaluator,
+//!   [`sealpaa_cells::CompiledKernel`] (64–512 additions per step, one
+//!   kernel per block window), producing the exact error-distance
 //!   histogram;
 //! * [`error_distance_distribution`] — the analytical engine: a linear-time
 //!   joint-carry recursion producing the exact PMF of `approx − exact`
 //!   under an arbitrary per-bit input profile, in `f64` or exact
-//!   [`Rational`](sealpaa_num::Rational) arithmetic.
+//!   [`Rational`](sealpaa_num::Rational) arithmetic, as the same
+//!   [`sealpaa_core::ErrorDistribution`] the ripple-chain analysis fills.
 //!
 //! The analytical engine is also exposed incrementally as
 //! [`BlockDistanceStepper`], whose push/truncate interface lets

@@ -152,20 +152,19 @@ fn distribution_moments_agree_with_exhaustive_counts() {
     let total = report.cases();
 
     let mut errors = 0u64;
-    let mut sum = 0i128;
-    let mut sum_abs = 0i128;
-    let mut sum_sq = 0i128;
+    let mut sum = 0i64;
+    let mut sum_abs = 0i64;
+    let mut sum_sq = 0i64;
     for (&d, &count) in &report.histogram {
         if d != 0 {
             errors += count;
         }
-        sum += d * count as i128;
-        sum_abs += d.abs() * count as i128;
-        sum_sq += d * d * count as i128;
+        sum += d * count as i64;
+        sum_abs += d.abs() * count as i64;
+        sum_sq += d * d * count as i64;
     }
-    let ratio =
-        |num: i128| Rational::from_ratio(i64::try_from(num).expect("fits i64"), total as i64);
-    assert_eq!(analytical.error_rate(), ratio(errors as i128));
+    let ratio = |num: i64| Rational::from_ratio(num, total as i64);
+    assert_eq!(analytical.error_rate(), ratio(errors as i64));
     assert_eq!(analytical.mean(), ratio(sum));
     assert_eq!(analytical.mean_absolute(), ratio(sum_abs));
     assert_eq!(analytical.mean_squared(), ratio(sum_sq));

@@ -27,26 +27,26 @@
 //! chains with accurate MSBs cost almost nothing above the approximate
 //! stages.
 //!
-//! The evaluation core is generic over [`SimdWord`]: the `u64` methods
-//! ([`eval64_into`](CompiledChain::eval64_into) and friends) are the 64-lane
-//! baseline, and [`CompiledChain::kernel`] instantiates the same mux tree
-//! for any wider word (2×u64 / AVX2 / AVX-512), dispatched at runtime via
-//! [`crate::simd::dispatch`]. Lane order is fixed by the [`SimdWord`]
-//! contract — lane `l` is bit `l % 64` of element `l / 64` — so a wide
-//! batch is exactly `WORDS` consecutive 64-lane batches evaluated together.
+//! The evaluation core is generic over [`SimdWord`]: [`CompiledChain::kernel`]
+//! instantiates the mux tree for any word — `u64` (64 lanes), 2×u64, AVX2
+//! or AVX-512 — dispatched at runtime via [`crate::simd::dispatch`]. Lane
+//! order is fixed by the [`SimdWord`] contract — lane `l` is bit `l % 64`
+//! of element `l / 64` — so a wide batch is exactly `WORDS` consecutive
+//! 64-lane batches evaluated together.
 //!
 //! # Examples
 //!
 //! ```
-//! use sealpaa_cells::{AdderChain, CompiledChain, StandardCell};
+//! use sealpaa_cells::{pack_lanes_into, AdderChain, CompiledChain, StandardCell};
 //!
 //! let chain = AdderChain::uniform(StandardCell::Lpaa3.cell(), 8);
-//! let compiled = CompiledChain::compile(&chain);
+//! let kernel = CompiledChain::compile(&chain).kernel::<u64>();
 //!
 //! // Evaluate the same operands in lane 0 and lane 1.
-//! let a_planes = sealpaa_cells::pack_lanes(&[13, 200], 8);
-//! let b_planes = sealpaa_cells::pack_lanes(&[77, 31], 8);
-//! let (sum, cout) = compiled.eval64(&a_planes, &b_planes, 0);
+//! let (mut a_planes, mut b_planes, mut sum) = ([0u64; 8], [0u64; 8], [0u64; 8]);
+//! pack_lanes_into(&[13, 200], &mut a_planes);
+//! pack_lanes_into(&[77, 31], &mut b_planes);
+//! let cout = kernel.eval_into(&a_planes, &b_planes, 0, &mut sum);
 //! for lane in 0..2 {
 //!     let scalar = chain.add([13, 200][lane], [77, 31][lane], false);
 //!     assert_eq!(sealpaa_cells::lane_value(&sum, cout, lane), scalar.value());
@@ -118,17 +118,15 @@ fn mux8<W: SimdWord>(m: &[W; 8], a: W, na: W, b: W, nb: W, c: W, nc: W) -> W {
     (a & s1) | (na & s0)
 }
 
-/// An [`AdderChain`] compiled for 64-lane bitsliced evaluation.
+/// An [`AdderChain`] compiled for bitsliced evaluation.
 ///
 /// The `compiled` module docs in the source describe the encoding. A `CompiledChain` is plain
 /// data (`Send + Sync`), so one compilation can be shared across simulation
-/// worker threads. The `u64` methods are the baseline engine;
-/// [`kernel`](Self::kernel) re-broadcasts the same truth tables for a wider
-/// [`SimdWord`].
+/// worker threads; [`kernel`](Self::kernel) broadcasts its truth tables for
+/// one [`SimdWord`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledChain {
     tables: Vec<StageTables>,
-    kernel64: CompiledKernel<u64>,
 }
 
 impl CompiledChain {
@@ -143,7 +141,7 @@ impl CompiledChain {
             "bitsliced evaluation supports up to 64 bits"
         );
         let accurate = TruthTable::accurate();
-        let tables: Vec<StageTables> = chain
+        let tables = chain
             .iter()
             .map(|cell| {
                 let table = cell.truth_table();
@@ -170,124 +168,25 @@ impl CompiledChain {
                 }
             })
             .collect();
-        let kernel64 = kernel_from_tables(&tables);
-        CompiledChain { tables, kernel64 }
+        CompiledChain { tables }
     }
 
-    /// Number of stages (operand width in bits).
-    pub fn width(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// `true` if every stage is behaviourally exact.
-    pub fn is_accurate(&self) -> bool {
-        self.tables.iter().all(|t| t.error_tt == 0)
-    }
-
-    /// Specializes the chain for word type `W`: the same mux tree with the
-    /// row masks re-broadcast to `W`'s width. Build once per simulation
-    /// run, outside the hot loop.
+    /// Specializes the chain for word type `W`: the mux tree with the row
+    /// masks broadcast to `W`'s width. Build once per simulation run,
+    /// outside the hot loop.
     pub fn kernel<W: SimdWord>(&self) -> CompiledKernel<W> {
-        kernel_from_tables(&self.tables)
-    }
-
-    /// Evaluates 64 additions at once, writing the sum bit-planes into
-    /// `sum_out` and returning the carry-out word (bit `l` = lane `l`'s
-    /// carry-out).
-    ///
-    /// `a_planes[i]`/`b_planes[i]` hold bit `i` of the 64 lanes' operands;
-    /// `cin` holds the 64 carry-in bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice length differs from [`width`](Self::width).
-    pub fn eval64_into(
-        &self,
-        a_planes: &[u64],
-        b_planes: &[u64],
-        cin: u64,
-        sum_out: &mut [u64],
-    ) -> u64 {
-        self.kernel64.eval_into(a_planes, b_planes, cin, sum_out)
-    }
-
-    /// Allocating convenience wrapper around [`eval64_into`]: returns
-    /// `(sum_planes, cout_word)`.
-    ///
-    /// [`eval64_into`]: Self::eval64_into
-    pub fn eval64(&self, a_planes: &[u64], b_planes: &[u64], cin: u64) -> (Vec<u64>, u64) {
-        let mut sum = vec![0u64; self.width()];
-        let cout = self.eval64_into(a_planes, b_planes, cin, &mut sum);
-        (sum, cout)
-    }
-
-    /// Evaluates the *accurate* reference chain on 64 lanes: plain ripple
-    /// addition via `sum = a ^ b ^ c`, `carry = majority(a, b, c)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    pub fn accurate64(a_planes: &[u64], b_planes: &[u64], cin: u64, sum_out: &mut [u64]) -> u64 {
-        accurate_eval(a_planes, b_planes, cin, sum_out)
-    }
-
-    /// Fused evaluation of the approximate chain *and* the accurate
-    /// reference in one pass over the planes: writes the approximate sum
-    /// planes into `approx_out`, the accurate sum planes into `exact_out`,
-    /// and returns the batch's comparison words. Equivalent to
-    /// [`eval64_into`](Self::eval64_into) +
-    /// [`accurate_deviation64`](Self::accurate_deviation64) + a plane-wise
-    /// XOR reduce, but loads each operand plane once and shares the
-    /// `a ^ b` / `a & b` subterms between the two carry chains — the
-    /// exhaustive sweep's inner loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice length differs from [`width`](Self::width).
-    pub fn eval64_diff(
-        &self,
-        a_planes: &[u64],
-        b_planes: &[u64],
-        cin: u64,
-        approx_out: &mut [u64],
-        exact_out: &mut [u64],
-    ) -> Diff64 {
-        self.kernel64
-            .eval_diff(a_planes, b_planes, cin, approx_out, exact_out)
-    }
-
-    /// Walks the accurate carry chain, writing the accurate sum planes into
-    /// `sum_out` and returning `(accurate_cout, deviated)`, where bit `l` of
-    /// `deviated` is set iff some stage of *this* (approximate) chain sits on
-    /// one of its error rows along lane `l`'s accurate carries — the paper's
-    /// first-deviation ("stage error") semantics, 64 lanes at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice length differs from [`width`](Self::width).
-    pub fn accurate_deviation64(
-        &self,
-        a_planes: &[u64],
-        b_planes: &[u64],
-        cin: u64,
-        sum_out: &mut [u64],
-    ) -> (u64, u64) {
-        self.kernel64
-            .accurate_deviation(a_planes, b_planes, cin, sum_out)
-    }
-}
-
-fn kernel_from_tables<W: SimdWord>(tables: &[StageTables]) -> CompiledKernel<W> {
-    CompiledKernel {
-        stages: tables
-            .iter()
-            .map(|t| KernelStage {
-                sum_m: broadcast_rows(t.sum_tt),
-                carry_m: broadcast_rows(t.carry_tt),
-                error_m: broadcast_rows(t.error_tt),
-                error_tt: t.error_tt,
-            })
-            .collect(),
+        CompiledKernel {
+            stages: self
+                .tables
+                .iter()
+                .map(|t| KernelStage {
+                    sum_m: broadcast_rows(t.sum_tt),
+                    carry_m: broadcast_rows(t.carry_tt),
+                    error_m: broadcast_rows(t.error_tt),
+                    error_tt: t.error_tt,
+                })
+                .collect(),
+        }
     }
 }
 
@@ -295,8 +194,8 @@ fn kernel_from_tables<W: SimdWord>(tables: &[StageTables]) -> CompiledKernel<W> 
 /// behind every bitsliced simulator, obtained from
 /// [`CompiledChain::kernel`] and dispatched via [`crate::simd::dispatch`].
 ///
-/// The methods mirror the chain's `u64` API one-for-one (`eval_into` ↔
-/// [`CompiledChain::eval64_into`], …); all are `#[inline(always)]` so the
+/// Each call evaluates `W::LANES` additions: 64 for `kernel::<u64>()`, up
+/// to 512 for the AVX-512 word. The methods are `#[inline(always)]` so the
 /// mux tree is monomorphized *inside* the feature-annotated dispatch
 /// wrapper and LLVM can vectorize the plain-array word operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -310,7 +209,12 @@ impl<W: SimdWord> CompiledKernel<W> {
         self.stages.len()
     }
 
-    /// `W::LANES` additions per call; see [`CompiledChain::eval64_into`].
+    /// Evaluates `W::LANES` additions at once, writing the sum bit-planes
+    /// into `sum_out` and returning the carry-out word (lane `l` of the word
+    /// is lane `l`'s carry-out).
+    ///
+    /// `a_planes[i]`/`b_planes[i]` hold bit `i` of every lane's operands;
+    /// `cin` holds the lanes' carry-in bits.
     ///
     /// # Panics
     ///
@@ -336,8 +240,14 @@ impl<W: SimdWord> CompiledKernel<W> {
         carry
     }
 
-    /// Fused approximate + accurate evaluation; see
-    /// [`CompiledChain::eval64_diff`].
+    /// Fused evaluation of the approximate chain *and* the accurate
+    /// reference in one pass over the planes: writes the approximate sum
+    /// planes into `approx_out`, the accurate sum planes into `exact_out`,
+    /// and returns the batch's comparison words. Equivalent to
+    /// [`eval_into`](Self::eval_into) + [`accurate_eval`] + a plane-wise
+    /// XOR reduce, plus the first-deviation word, but loads each operand
+    /// plane once and shares the `a ^ b` / `a & b` subterms between the two
+    /// carry chains — the exhaustive sweep's inner loop.
     ///
     /// # Panics
     ///
@@ -391,38 +301,6 @@ impl<W: SimdWord> CompiledKernel<W> {
             mismatch,
         }
     }
-
-    /// Accurate carry chain + first-deviation word; see
-    /// [`CompiledChain::accurate_deviation64`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice length differs from [`width`](Self::width).
-    #[inline(always)]
-    pub fn accurate_deviation(
-        &self,
-        a_planes: &[W],
-        b_planes: &[W],
-        cin: W,
-        sum_out: &mut [W],
-    ) -> (W, W) {
-        let width = self.width();
-        assert_eq!(a_planes.len(), width, "a_planes width mismatch");
-        assert_eq!(b_planes.len(), width, "b_planes width mismatch");
-        assert_eq!(sum_out.len(), width, "sum_out width mismatch");
-        let mut carry = cin;
-        let mut deviated = W::zero();
-        for (i, stage) in self.stages.iter().enumerate() {
-            let (a, b, c) = (a_planes[i], b_planes[i], carry);
-            if stage.error_tt != 0 {
-                let (na, nb, nc) = (!a, !b, !c);
-                deviated = deviated | mux8(&stage.error_m, a, na, b, nb, c, nc);
-            }
-            sum_out[i] = a ^ b ^ c;
-            carry = (a & b) | (c & (a ^ b));
-        }
-        (carry, deviated)
-    }
 }
 
 /// The comparison words of one fused [`CompiledKernel::eval_diff`] batch.
@@ -439,12 +317,8 @@ pub struct KernelDiff<W> {
     pub mismatch: W,
 }
 
-/// The comparison words of one fused 64-lane batch.
-pub type Diff64 = KernelDiff<u64>;
-
 /// Evaluates the *accurate* reference chain on `W::LANES` lanes: plain
-/// ripple addition via `sum = a ^ b ^ c`, `carry = majority(a, b, c)` (the
-/// generic form of [`CompiledChain::accurate64`]).
+/// ripple addition via `sum = a ^ b ^ c`, `carry = majority(a, b, c)`.
 ///
 /// # Panics
 ///
@@ -464,19 +338,6 @@ pub fn accurate_eval<W: SimdWord>(a_planes: &[W], b_planes: &[W], cin: W, sum_ou
 
 /// Broadcasts one scalar value into bit-planes: plane `i` is all-ones iff
 /// bit `i` of `value` is set (every lane carries the same operand).
-pub fn splat64(value: u64, width: usize) -> Vec<u64> {
-    let mut planes = vec![0u64; width];
-    splat64_into(value, &mut planes);
-    planes
-}
-
-/// In-place variant of [`splat64`] for hot loops.
-pub fn splat64_into(value: u64, planes: &mut [u64]) {
-    splat_planes(value, planes);
-}
-
-/// Generic form of [`splat64_into`]: plane `i` is all-ones iff bit `i` of
-/// `value` is set.
 #[inline(always)]
 pub fn splat_planes<W: SimdWord>(value: u64, planes: &mut [W]) {
     for (i, plane) in planes.iter_mut().enumerate() {
@@ -484,22 +345,17 @@ pub fn splat_planes<W: SimdWord>(value: u64, planes: &mut [W]) {
     }
 }
 
-/// Transposes a 64×64 bit matrix in place (bit `c` of word `r` swaps with
-/// bit `r` of word `c`) with the classic block-swap recursion: 6 rounds of
-/// masked half-block exchanges, `O(64·log 64)` word operations instead of
-/// the `O(64·64)` single-bit moves of a naive transpose.
-fn transpose64(m: &mut [u64; 64]) {
-    transpose_lanes(m);
-}
-
 /// Transposes 64 wide words as `W::WORDS` independent 64×64 bit matrices,
 /// in place: within every 64-bit element position `s`, bit `c` of
 /// `m[r].word(s)` swaps with bit `r` of `m[c].word(s)`.
 ///
-/// Every swap step of the block recursion shifts and masks *within* a
-/// 64-bit element, so the wide transpose performs one subword transpose per
-/// element at the op count of a single scalar `transpose64` — the wider
-/// the backend, the more 64-lane subwords are transposed per operation.
+/// The classic block-swap recursion: 6 rounds of masked half-block
+/// exchanges, `O(64·log 64)` word operations instead of the `O(64·64)`
+/// single-bit moves of a naive transpose. Every swap step shifts and masks
+/// *within* a 64-bit element, so the wide transpose performs one subword
+/// transpose per element at the op count of a single `u64` transpose — the
+/// wider the backend, the more 64-lane subwords are transposed per
+/// operation.
 #[inline(always)]
 pub fn transpose_lanes<W: SimdWord>(m: &mut [W; 64]) {
     let mut j = 32u32;
@@ -577,7 +433,8 @@ pub fn biased_distance_lanes<W: SimdWord>(
 /// `planes[i]` is bit `i` of `values[l]` (missing lanes are zero, and
 /// operand bits at or above `planes.len()` are dropped). This is the hot
 /// packing path of trace replay; the cost is one 64×64 bit-matrix
-/// `transpose64`, independent of how many of the 64 lanes are occupied.
+/// [`transpose_lanes`], independent of how many of the 64 lanes are
+/// occupied.
 ///
 /// # Panics
 ///
@@ -587,21 +444,8 @@ pub fn pack_lanes_into(values: &[u64], planes: &mut [u64]) {
     assert!(planes.len() <= 64, "at most 64 bit-planes per operand");
     let mut m = [0u64; 64];
     m[..values.len()].copy_from_slice(values);
-    transpose64(&mut m);
+    transpose_lanes(&mut m);
     planes.copy_from_slice(&m[..planes.len()]);
-}
-
-/// Transposes up to 64 scalar values into bit-planes: bit `l` of plane `i`
-/// is bit `i` of `values[l]` (missing lanes are zero).
-///
-/// # Panics
-///
-/// Panics if more than 64 values are given.
-pub fn pack_lanes(values: &[u64], width: usize) -> Vec<u64> {
-    assert!(width <= 64, "at most 64 bit-planes per operand");
-    let mut planes = vec![0u64; width];
-    pack_lanes_into(values, &mut planes);
-    planes
 }
 
 /// Extracts lane `l`'s full numeric value (sum bits plus the carry-out as
@@ -687,17 +531,6 @@ pub struct ErrorStats64 {
     pub max_abs_ed: u64,
 }
 
-/// Computes [`ErrorStats64`] for a 64-lane batch; see [`error_stats`].
-pub fn error_stats64(
-    approx_sum: &[u64],
-    approx_cout: u64,
-    exact_sum: &[u64],
-    exact_cout: u64,
-    mismatch: u64,
-) -> ErrorStats64 {
-    error_stats(approx_sum, approx_cout, exact_sum, exact_cout, mismatch)
-}
-
 /// Computes [`ErrorStats64`] for a batch entirely in plane space — no
 /// per-lane extraction, so the cost is `O(width)` regardless of how many
 /// lanes erred. Used by the Monte-Carlo kernel, where every lane has unit
@@ -712,8 +545,8 @@ pub fn error_stats64(
 /// # Panics
 ///
 /// Panics if the sum slice lengths differ, or (in debug builds) if the
-/// width is 64 (the carry-out would sit at bit 64; every simulation caller
-/// is capped below that).
+/// width is 64 (the carry-out would sit at bit 64). The callers stay below
+/// that: exhaustive sweeps stop at 16 bits and Monte-Carlo at 62.
 #[inline(always)]
 pub fn error_stats<W: SimdWord>(
     approx_sum: &[W],
@@ -801,42 +634,50 @@ mod tests {
         }
     }
 
-    fn assert_eval64_matches_scalar(chain: &AdderChain, rng: &mut TestRng) {
+    /// `width` bit-planes of up to 64 lane values.
+    fn pack(values: &[u64], width: usize) -> Vec<u64> {
+        let mut planes = vec![0u64; width];
+        pack_lanes_into(values, &mut planes);
+        planes
+    }
+
+    /// Approximate and accurate sums of one 64-lane batch, with the
+    /// comparison words.
+    fn eval_batch(
+        kernel: &CompiledKernel<u64>,
+        a_planes: &[u64],
+        b_planes: &[u64],
+        cin: u64,
+    ) -> (Vec<u64>, Vec<u64>, KernelDiff<u64>) {
+        let mut approx = vec![0u64; kernel.width()];
+        let mut exact = vec![0u64; kernel.width()];
+        let diff = kernel.eval_diff(a_planes, b_planes, cin, &mut approx, &mut exact);
+        (approx, exact, diff)
+    }
+
+    fn assert_kernel64_matches_scalar(chain: &AdderChain, rng: &mut TestRng) {
         let width = chain.width();
         let mask = if width == 64 {
             u64::MAX
         } else {
             (1u64 << width) - 1
         };
-        let compiled = CompiledChain::compile(chain);
+        let kernel = CompiledChain::compile(chain).kernel::<u64>();
         let a_vals: Vec<u64> = (0..64).map(|_| rng.next() & mask).collect();
         let b_vals: Vec<u64> = (0..64).map(|_| rng.next() & mask).collect();
         let cin_word = rng.next();
-        let a_planes = pack_lanes(&a_vals, width);
-        let b_planes = pack_lanes(&b_vals, width);
-        let (sum, cout) = compiled.eval64(&a_planes, &b_planes, cin_word);
+        let a_planes = pack(&a_vals, width);
+        let b_planes = pack(&b_vals, width);
+        let mut sum = vec![0u64; width];
+        let cout = kernel.eval_into(&a_planes, &b_planes, cin_word, &mut sum);
         let mut exact_sum = vec![0u64; width];
-        let exact_cout = CompiledChain::accurate64(&a_planes, &b_planes, cin_word, &mut exact_sum);
-        let mut dev_sum = vec![0u64; width];
-        let (dev_cout, deviated) =
-            compiled.accurate_deviation64(&a_planes, &b_planes, cin_word, &mut dev_sum);
-        assert_eq!(dev_cout, exact_cout);
-        assert_eq!(dev_sum, exact_sum);
+        let exact_cout = accurate_eval(&a_planes, &b_planes, cin_word, &mut exact_sum);
         // The fused pass must agree with the separate ones, word for word.
-        let mut fused_approx = vec![0u64; width];
-        let mut fused_exact = vec![0u64; width];
-        let diff = compiled.eval64_diff(
-            &a_planes,
-            &b_planes,
-            cin_word,
-            &mut fused_approx,
-            &mut fused_exact,
-        );
+        let (fused_approx, fused_exact, diff) = eval_batch(&kernel, &a_planes, &b_planes, cin_word);
         assert_eq!(fused_approx, sum);
         assert_eq!(fused_exact, exact_sum);
         assert_eq!(diff.approx_cout, cout);
         assert_eq!(diff.exact_cout, exact_cout);
-        assert_eq!(diff.deviated, deviated);
         let mut mismatch = cout ^ exact_cout;
         for i in 0..width {
             mismatch |= sum[i] ^ exact_sum[i];
@@ -854,7 +695,8 @@ mod tests {
             );
             let reference = chain.accurate_sum(a_vals[lane], b_vals[lane], cin);
             assert_eq!(lane_value(&exact_sum, exact_cout, lane), reference.value());
-            // First-deviation semantics against the scalar walk.
+            // First-deviation semantics against the scalar walk along the
+            // accurate carries.
             let accurate = TruthTable::accurate();
             let mut carry = cin;
             let mut scalar_deviated = false;
@@ -871,7 +713,7 @@ mod tests {
                 carry = accurate.eval(input).carry_out;
             }
             assert_eq!(
-                (deviated >> lane) & 1 == 1,
+                (diff.deviated >> lane) & 1 == 1,
                 scalar_deviated,
                 "{chain} lane {lane} deviation"
             );
@@ -879,18 +721,18 @@ mod tests {
     }
 
     #[test]
-    fn eval64_matches_scalar_for_every_standard_cell() {
+    fn kernel64_matches_scalar_for_every_standard_cell() {
         let mut rng = TestRng(0xC0FFEE);
         for cell in StandardCell::ALL {
             for width in [1usize, 3, 8, 13] {
                 let chain = AdderChain::uniform(cell.cell(), width);
-                assert_eval64_matches_scalar(&chain, &mut rng);
+                assert_kernel64_matches_scalar(&chain, &mut rng);
             }
         }
     }
 
     #[test]
-    fn eval64_matches_scalar_for_random_hybrids() {
+    fn kernel64_matches_scalar_for_random_hybrids() {
         let mut rng = TestRng(0xDAC17);
         for trial in 0..40 {
             let width = 1 + (rng.next() % 16) as usize;
@@ -901,30 +743,31 @@ mod tests {
                 })
                 .collect();
             let chain = AdderChain::from_stages(stages);
-            assert_eval64_matches_scalar(&chain, &mut rng);
+            assert_kernel64_matches_scalar(&chain, &mut rng);
             let _ = trial;
         }
     }
 
     #[test]
-    fn eval64_matches_scalar_for_arbitrary_truth_tables() {
+    fn kernel64_matches_scalar_for_arbitrary_truth_tables() {
         // Not just the library cells: any 8-row behaviour must compile.
         let mut rng = TestRng(0xBEEF);
         for _ in 0..20 {
             let word = rng.next();
             let table = TruthTable::from_bits(word as u8, (word >> 8) as u8);
             let chain = AdderChain::uniform(Cell::custom("rand", table), 7);
-            assert_eval64_matches_scalar(&chain, &mut rng);
+            assert_kernel64_matches_scalar(&chain, &mut rng);
         }
     }
 
     /// The wide kernel's batch must be, subword for subword, exactly the
-    /// u64 engine applied to consecutive 64-lane batches (the lane-order
+    /// `u64` kernel applied to consecutive 64-lane batches (the lane-order
     /// contract every backend's byte-identity rests on).
     fn assert_kernel_matches_u64_subwords<W: SimdWord>(chain: &AdderChain, rng: &mut TestRng) {
         let width = chain.width();
         let compiled = CompiledChain::compile(chain);
         let kernel = compiled.kernel::<W>();
+        let kernel64 = compiled.kernel::<u64>();
         assert_eq!(kernel.width(), width);
         let a_planes: Vec<W> = (0..width).map(|_| W::from_fn(|_| rng.next())).collect();
         let b_planes: Vec<W> = (0..width).map(|_| W::from_fn(|_| rng.next())).collect();
@@ -934,9 +777,6 @@ mod tests {
         let diff = kernel.eval_diff(&a_planes, &b_planes, cin, &mut approx, &mut exact);
         let mut sum = vec![W::zero(); width];
         let cout = kernel.eval_into(&a_planes, &b_planes, cin, &mut sum);
-        let mut dev_sum = vec![W::zero(); width];
-        let (dev_cout, deviated) =
-            kernel.accurate_deviation(&a_planes, &b_planes, cin, &mut dev_sum);
         let mut acc_sum = vec![W::zero(); width];
         let acc_cout = accurate_eval(&a_planes, &b_planes, cin, &mut acc_sum);
         let stats = error_stats(
@@ -950,40 +790,31 @@ mod tests {
         let mut stats64_sum = ErrorStats64::default();
         for s in 0..W::WORDS {
             let sub = |planes: &[W]| -> Vec<u64> { planes.iter().map(|p| p.word(s)).collect() };
-            let (sum64, cout64) = compiled.eval64(&sub(&a_planes), &sub(&b_planes), cin.word(s));
-            let mut exact64 = vec![0u64; width];
-            let exact_cout64 = CompiledChain::accurate64(
-                &sub(&a_planes),
-                &sub(&b_planes),
-                cin.word(s),
-                &mut exact64,
-            );
-            let mut dev64 = vec![0u64; width];
-            let (_, deviated64) = compiled.accurate_deviation64(
-                &sub(&a_planes),
-                &sub(&b_planes),
-                cin.word(s),
-                &mut dev64,
-            );
+            let (a64, b64) = (sub(&a_planes), sub(&b_planes));
+            let mut sum64 = vec![0u64; width];
+            let cout64 = kernel64.eval_into(&a64, &b64, cin.word(s), &mut sum64);
+            let (approx64, exact64, diff64) = eval_batch(&kernel64, &a64, &b64, cin.word(s));
+            assert_eq!(approx64, sum64);
+            assert_eq!(diff64.approx_cout, cout64);
             for i in 0..width {
                 assert_eq!(approx[i].word(s), sum64[i], "{chain} word {s} plane {i}");
                 assert_eq!(sum[i].word(s), sum64[i]);
                 assert_eq!(exact[i].word(s), exact64[i]);
                 assert_eq!(acc_sum[i].word(s), exact64[i]);
-                assert_eq!(dev_sum[i].word(s), exact64[i]);
             }
             assert_eq!(diff.approx_cout.word(s), cout64);
             assert_eq!(cout.word(s), cout64);
-            assert_eq!(diff.exact_cout.word(s), exact_cout64);
-            assert_eq!(acc_cout.word(s), exact_cout64);
-            assert_eq!(dev_cout.word(s), exact_cout64);
-            assert_eq!(deviated.word(s), deviated64);
-            let mut mismatch64 = cout64 ^ exact_cout64;
-            for i in 0..width {
-                mismatch64 |= sum64[i] ^ exact64[i];
-            }
-            assert_eq!(diff.mismatch.word(s), mismatch64);
-            let s64 = error_stats64(&sum64, cout64, &exact64, exact_cout64, mismatch64);
+            assert_eq!(diff.exact_cout.word(s), diff64.exact_cout);
+            assert_eq!(acc_cout.word(s), diff64.exact_cout);
+            assert_eq!(diff.deviated.word(s), diff64.deviated);
+            assert_eq!(diff.mismatch.word(s), diff64.mismatch);
+            let s64 = error_stats(
+                &approx64,
+                diff64.approx_cout,
+                &exact64,
+                diff64.exact_cout,
+                diff64.mismatch,
+            );
             stats64_sum.sum_ed += s64.sum_ed;
             stats64_sum.sum_abs_ed += s64.sum_abs_ed;
             stats64_sum.max_abs_ed = stats64_sum.max_abs_ed.max(s64.max_abs_ed);
@@ -1023,29 +854,32 @@ mod tests {
     #[test]
     fn accurate_chain_takes_exact_fast_path() {
         let chain = AdderChain::uniform(StandardCell::Accurate.cell(), 16);
-        let compiled = CompiledChain::compile(&chain);
-        assert!(compiled.is_accurate());
+        assert!(chain.is_accurate());
+        let kernel = CompiledChain::compile(&chain).kernel::<u64>();
         let mut rng = TestRng(7);
         let a_planes: Vec<u64> = (0..16).map(|_| rng.next()).collect();
         let b_planes: Vec<u64> = (0..16).map(|_| rng.next()).collect();
         let cin = rng.next();
-        let (sum, cout) = compiled.eval64(&a_planes, &b_planes, cin);
+        let mut sum = vec![0u64; 16];
+        let cout = kernel.eval_into(&a_planes, &b_planes, cin, &mut sum);
         let mut exact = vec![0u64; 16];
-        let exact_cout = CompiledChain::accurate64(&a_planes, &b_planes, cin, &mut exact);
+        let exact_cout = accurate_eval(&a_planes, &b_planes, cin, &mut exact);
         assert_eq!(sum, exact);
         assert_eq!(cout, exact_cout);
-        let (_, deviated) = compiled.accurate_deviation64(&a_planes, &b_planes, cin, &mut exact);
-        assert_eq!(deviated, 0);
+        let (_, _, diff) = eval_batch(&kernel, &a_planes, &b_planes, cin);
+        assert_eq!(diff.deviated, 0);
+        assert_eq!(diff.mismatch, 0);
     }
 
     #[test]
     fn splat_and_pack_round_trip() {
-        let planes = splat64(0b1011, 4);
+        let mut planes = vec![0u64; 4];
+        splat_planes(0b1011, &mut planes);
         assert_eq!(planes, vec![u64::MAX, u64::MAX, 0, u64::MAX]);
         for lane in [0usize, 17, 63] {
             assert_eq!(lane_value(&planes, 0, lane), 0b1011);
         }
-        let packed = pack_lanes(&[5, 9, 2], 4);
+        let packed = pack(&[5, 9, 2], 4);
         assert_eq!(lane_value(&packed, 0, 0), 5);
         assert_eq!(lane_value(&packed, 0, 1), 9);
         assert_eq!(lane_value(&packed, 0, 2), 2);
@@ -1058,7 +892,7 @@ mod tests {
         for &width in &[1usize, 5, 16, 47, 64] {
             for &lanes in &[0usize, 1, 17, 63, 64] {
                 let values: Vec<u64> = (0..lanes).map(|_| rng.next()).collect();
-                let packed = pack_lanes(&values, width);
+                let packed = pack(&values, width);
                 // Naive reference: one bit at a time.
                 let mut naive = vec![0u64; width];
                 for (lane, &v) in values.iter().enumerate() {
@@ -1082,20 +916,15 @@ mod tests {
             let width = 9;
             let mask = (1u64 << width) - 1;
             let chain = AdderChain::uniform(cell.cell(), width);
-            let compiled = CompiledChain::compile(&chain);
+            let kernel = CompiledChain::compile(&chain).kernel::<u64>();
             let a_vals: Vec<u64> = (0..64).map(|_| rng.next() & mask).collect();
             let b_vals: Vec<u64> = (0..64).map(|_| rng.next() & mask).collect();
             let cin_word = rng.next();
-            let a_planes = pack_lanes(&a_vals, width);
-            let b_planes = pack_lanes(&b_vals, width);
-            let (approx_sum, approx_cout) = compiled.eval64(&a_planes, &b_planes, cin_word);
-            let mut exact_sum = vec![0u64; width];
-            let exact_cout =
-                CompiledChain::accurate64(&a_planes, &b_planes, cin_word, &mut exact_sum);
-            let mut mismatch = approx_cout ^ exact_cout;
-            for i in 0..width {
-                mismatch |= approx_sum[i] ^ exact_sum[i];
-            }
+            let a_planes = pack(&a_vals, width);
+            let b_planes = pack(&b_vals, width);
+            let (approx_sum, exact_sum, diff) = eval_batch(&kernel, &a_planes, &b_planes, cin_word);
+            let (approx_cout, exact_cout, mismatch) =
+                (diff.approx_cout, diff.exact_cout, diff.mismatch);
             // Poisoned scratch: the helper must overwrite every mismatch lane.
             let mut ed = [i64::MIN; 64];
             error_distances64(
@@ -1133,7 +962,7 @@ mod tests {
             }
             transpose_lanes(&mut wide);
             for block in scalar.iter_mut() {
-                transpose64(block);
+                transpose_lanes(block);
             }
             for r in 0..64 {
                 for (s, block) in scalar.iter().enumerate() {
@@ -1225,22 +1054,17 @@ mod tests {
             for width in [5usize, 11, 16] {
                 let mask = (1u64 << width) - 1;
                 let chain = AdderChain::uniform(cell.cell(), width);
-                let compiled = CompiledChain::compile(&chain);
+                let kernel = CompiledChain::compile(&chain).kernel::<u64>();
                 let a_vals: Vec<u64> = (0..64).map(|_| rng.next() & mask).collect();
                 let b_vals: Vec<u64> = (0..64).map(|_| rng.next() & mask).collect();
                 let cin_word = rng.next();
-                let a_planes = pack_lanes(&a_vals, width);
-                let b_planes = pack_lanes(&b_vals, width);
-                let (approx_sum, approx_cout) = compiled.eval64(&a_planes, &b_planes, cin_word);
-                let mut exact_sum = vec![0u64; width];
-                let exact_cout =
-                    CompiledChain::accurate64(&a_planes, &b_planes, cin_word, &mut exact_sum);
-                let mut mismatch = approx_cout ^ exact_cout;
-                for i in 0..width {
-                    mismatch |= approx_sum[i] ^ exact_sum[i];
-                }
-                let stats =
-                    error_stats64(&approx_sum, approx_cout, &exact_sum, exact_cout, mismatch);
+                let a_planes = pack(&a_vals, width);
+                let b_planes = pack(&b_vals, width);
+                let (approx_sum, exact_sum, diff) =
+                    eval_batch(&kernel, &a_planes, &b_planes, cin_word);
+                let (approx_cout, exact_cout, mismatch) =
+                    (diff.approx_cout, diff.exact_cout, diff.mismatch);
+                let stats = error_stats(&approx_sum, approx_cout, &exact_sum, exact_cout, mismatch);
                 let mut sum_ed = 0.0;
                 let mut sum_abs_ed = 0.0;
                 let mut max_abs_ed = 0u64;
@@ -1260,21 +1084,24 @@ mod tests {
             }
         }
         // An all-correct batch contributes nothing.
-        assert_eq!(error_stats64(&[0], 0, &[0], 0, 0), ErrorStats64::default());
+        assert_eq!(
+            error_stats::<u64>(&[0], 0, &[0], 0, 0),
+            ErrorStats64::default()
+        );
     }
 
     #[test]
     fn lane_value_includes_carry_out_bit() {
-        let planes = splat64(0, 3);
+        let planes = [0u64; 3];
         assert_eq!(lane_value(&planes, 1 << 5, 5), 8);
         assert_eq!(lane_value(&planes, 1 << 5, 4), 0);
     }
 
     #[test]
     #[should_panic(expected = "width mismatch")]
-    fn eval64_rejects_wrong_plane_count() {
+    fn kernel_rejects_wrong_plane_count() {
         let chain = AdderChain::uniform(StandardCell::Lpaa1.cell(), 4);
-        let compiled = CompiledChain::compile(&chain);
-        let _ = compiled.eval64(&[0; 3], &[0; 4], 0);
+        let kernel = CompiledChain::compile(&chain).kernel::<u64>();
+        let _ = kernel.eval_into(&[0; 3], &[0; 4], 0, &mut [0; 4]);
     }
 }

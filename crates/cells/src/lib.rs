@@ -14,8 +14,9 @@
 //!   (homogeneous or hybrid, paper Fig. 3), with bit-true functional
 //!   evaluation,
 //! * [`CompiledChain`] — the same chain compiled for bitsliced (SWAR)
-//!   evaluation of 64 input vectors per pass, the engine behind the fast
-//!   simulators in `sealpaa-sim`, and
+//!   evaluation; its [`CompiledKernel`] evaluates 64 to 512 additions per
+//!   pass, following the [`simd`] backend, and is the one lane-parallel
+//!   adder evaluator behind every simulator, sweep and replay, and
 //! * [`InputProfile`] — per-bit input-operand probabilities, generic over the
 //!   probability number type.
 //!
@@ -49,9 +50,9 @@ mod truth_table;
 
 pub use chain::{AdderChain, AdditionResult};
 pub use compiled::{
-    accurate_eval, biased_distance_lanes, error_distances64, error_stats, error_stats64,
-    lane_value, pack_lanes, pack_lanes_into, splat64, splat64_into, splat_planes, transpose_lanes,
-    CompiledChain, CompiledKernel, Diff64, ErrorStats64, KernelDiff,
+    accurate_eval, biased_distance_lanes, error_distances64, error_stats, lane_value,
+    pack_lanes_into, splat_planes, transpose_lanes, CompiledChain, CompiledKernel, ErrorStats64,
+    KernelDiff,
 };
 pub use library::{Cell, CellCharacteristics, ParseStandardCellError, StandardCell};
 pub use profile::{InputProfile, ProfileError};

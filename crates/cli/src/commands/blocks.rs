@@ -108,7 +108,7 @@ fn analyze<W: Write>(tokens: &[String], out: &mut W) -> Result<(), CliError> {
             dist.normalized_mean_absolute(width)
         )?;
     }
-    writeln!(out, "max |D|       : {}", dist.max_absolute())?;
+    writeln!(out, "max |D|       : {}", dist.max_absolute_error())?;
     writeln!(out, "support       : {} distances", dist.pmf.len())?;
     if args.flag("distribution") {
         writeln!(out, "\nPMF:")?;

@@ -137,6 +137,149 @@ fn magnitude_with_distribution() {
     assert_eq!(code, Some(0));
     assert!(stdout.contains("RMS error distance"));
     assert!(stdout.contains("P(|D| > 2)"));
+    // Every byte is pinned: the tail mass and the PMF rows are read off
+    // the one error-distance distribution type.
+    assert_eq!(
+        stdout,
+        concat!(
+            "adder: 2-bit chain [LPAA 1, LPAA 1]\n",
+            "E[D]   (bias)     : +0.000000\n",
+            "E[D^2]            : 1.000000\n",
+            "Var[D]            : 1.000000\n",
+            "RMS error distance: 1.000000\n",
+            "P(|D| > 2)        : 0.03125000\n",
+            "\n",
+            "           D  probability\n",
+            "          -3  0.03125000\n",
+            "          -2  0.06250000\n",
+            "          -1  0.06250000\n",
+            "           0  0.62500000\n",
+            "           1  0.15625000\n",
+            "           2  0.06250000\n",
+        )
+    );
+}
+
+#[test]
+fn blocks_analyze_prints_the_pmf_cdf_and_exhaustive_check() {
+    let (stdout, stderr, code) = sealpaa(&[
+        "blocks",
+        "analyze",
+        "--config",
+        "4:0:accurate,2:1:lpaa1,2:2:lpaa2",
+        "--distribution",
+        "--cdf",
+        "--exhaustive",
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(
+        stdout,
+        concat!(
+            "config        : blocks(N=8)[4:0:AccuFA, 2:1:LPAA 1, 2:2:LPAA 2]\n",
+            "width         : 8\n",
+            "max window    : 4 bits\n",
+            "P(error)      : 0.7568359375\n",
+            "E[D]          : -10.000000\n",
+            "E[|D|]        : 54.750000\n",
+            "E[D^2]        : 6000.000000\n",
+            "NMED          : 1.071e-1\n",
+            "max |D|       : 224\n",
+            "support       : 28 distances\n",
+            "\n",
+            "PMF:\n",
+            "  P(D =     -224) = 0.0004882812\n",
+            "  P(D =     -208) = 0.0034179688\n",
+            "  P(D =     -192) = 0.0229492188\n",
+            "  P(D =     -176) = 0.0131835938\n",
+            "  P(D =     -160) = 0.0073242188\n",
+            "  P(D =     -144) = 0.0102539062\n",
+            "  P(D =     -128) = 0.0395507812\n",
+            "  P(D =     -112) = 0.0122070312\n",
+            "  P(D =      -96) = 0.0014648438\n",
+            "  P(D =      -80) = 0.0102539062\n",
+            "  P(D =      -64) = 0.1157226562\n",
+            "  P(D =      -48) = 0.0922851562\n",
+            "  P(D =      -32) = 0.0615234375\n",
+            "  P(D =      -16) = 0.0615234375\n",
+            "  P(D =        0) = 0.2431640625\n",
+            "  P(D =       16) = 0.0966796875\n",
+            "  P(D =       32) = 0.0190429688\n",
+            "  P(D =       48) = 0.0102539062\n",
+            "  P(D =       64) = 0.0434570312\n",
+            "  P(D =       80) = 0.0278320312\n",
+            "  P(D =       96) = 0.0131835938\n",
+            "  P(D =      112) = 0.0102539062\n",
+            "  P(D =      128) = 0.0415039062\n",
+            "  P(D =      144) = 0.0200195312\n",
+            "  P(D =      160) = 0.0063476562\n",
+            "  P(D =      176) = 0.0034179688\n",
+            "  P(D =      192) = 0.0092773438\n",
+            "  P(D =      208) = 0.0034179688\n",
+            "\n",
+            "CDF:\n",
+            "  P(D <=    -224) = 0.0004882812\n",
+            "  P(D <=    -208) = 0.0039062500\n",
+            "  P(D <=    -192) = 0.0268554688\n",
+            "  P(D <=    -176) = 0.0400390625\n",
+            "  P(D <=    -160) = 0.0473632812\n",
+            "  P(D <=    -144) = 0.0576171875\n",
+            "  P(D <=    -128) = 0.0971679688\n",
+            "  P(D <=    -112) = 0.1093750000\n",
+            "  P(D <=     -96) = 0.1108398438\n",
+            "  P(D <=     -80) = 0.1210937500\n",
+            "  P(D <=     -64) = 0.2368164062\n",
+            "  P(D <=     -48) = 0.3291015625\n",
+            "  P(D <=     -32) = 0.3906250000\n",
+            "  P(D <=     -16) = 0.4521484375\n",
+            "  P(D <=       0) = 0.6953125000\n",
+            "  P(D <=      16) = 0.7919921875\n",
+            "  P(D <=      32) = 0.8110351562\n",
+            "  P(D <=      48) = 0.8212890625\n",
+            "  P(D <=      64) = 0.8647460938\n",
+            "  P(D <=      80) = 0.8925781250\n",
+            "  P(D <=      96) = 0.9057617188\n",
+            "  P(D <=     112) = 0.9160156250\n",
+            "  P(D <=     128) = 0.9575195312\n",
+            "  P(D <=     144) = 0.9775390625\n",
+            "  P(D <=     160) = 0.9838867188\n",
+            "  P(D <=     176) = 0.9873046875\n",
+            "  P(D <=     192) = 0.9965820312\n",
+            "  P(D <=     208) = 1.0000000000\n",
+            "\n",
+            "exhaustive    : 131072 cases, 2490368 bit-adds — analytical PMF CONFIRMED\n",
+        )
+    );
+}
+
+#[test]
+fn blocks_exhaustive_names_its_width_limit() {
+    let (stdout, stderr, code) = sealpaa(&[
+        "blocks",
+        "analyze",
+        "--config",
+        "8:0:accurate,7:2:accurate",
+        "--exhaustive",
+    ]);
+    assert_eq!(code, Some(2), "{stdout}");
+    assert!(
+        stderr.contains("exhaustive enumeration supports at most 14 bits, got 15"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn simulate_refuses_chains_past_the_monte_carlo_limit() {
+    let (stdout, stderr, code) = sealpaa(&[
+        "simulate",
+        "--width",
+        "64",
+        "--cell",
+        "lpaa1",
+        "--samples",
+        "1000",
+    ]);
+    assert_eq!(code, Some(2), "{stdout}");
+    assert!(stderr.contains("at most 62 bits"), "{stderr}");
 }
 
 #[test]

@@ -7,6 +7,10 @@
 //! joint carry state. The support of the partial error grows with the
 //! width (it is a subset of `(−2^N, 2^N)`), so this is reserved for the
 //! moderate widths where a full histogram is actually interpretable.
+//!
+//! [`ErrorDistribution`] itself is shared: `sealpaa-blocks` fills the same
+//! type for block-based adders, whose accurate-cell supports stay tiny up
+//! to 47 bits.
 
 use std::collections::BTreeMap;
 
@@ -19,7 +23,13 @@ use crate::analyzer::AnalyzeError;
 /// reach millions of points and the histogram stops being useful.
 pub const MAX_DISTRIBUTION_WIDTH: usize = 20;
 
-/// The exact error-distance PMF of an approximate chain.
+/// The exact probability mass function of a signed error distance
+/// `D = approx − exact` — the one PMF type of the workspace, filled by
+/// [`error_distribution`] for ripple chains and by `sealpaa-blocks` for
+/// block-based adders.
+///
+/// Support keys are `i64`: chains stop at [`MAX_DISTRIBUTION_WIDTH`] bits
+/// and block adders at 47, so every `|d|` is below `2^48`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ErrorDistribution<T> {
     /// `(d, P(D = d))` pairs in ascending `d`, zero-probability entries
@@ -37,21 +47,50 @@ impl<T: Prob> ErrorDistribution<T> {
             .unwrap_or_else(T::zero)
     }
 
-    /// `P(D ≠ 0)` — must equal the output-value error probability of
+    /// `P(D ≠ 0)` — the probability the output value is wrong; for a chain
+    /// it equals the output-value error probability of
     /// [`exact_error_analysis`](crate::exact_error_analysis).
-    pub fn error_probability(&self) -> T {
-        self.pmf
-            .iter()
-            .filter(|(d, _)| *d != 0)
-            .fold(T::zero(), |acc, (_, p)| acc + p.clone())
+    pub fn error_rate(&self) -> T {
+        self.tail_beyond(0)
     }
 
-    /// `E[D]` computed from the PMF (cross-checkable against
+    /// `E[D]` — the signed bias (cross-checkable against
     /// [`error_magnitude`](crate::error_magnitude)).
     pub fn mean(&self) -> T {
         self.pmf.iter().fold(T::zero(), |acc, (d, p)| {
             acc + signed_scale::<T>(*d) * p.clone()
         })
+    }
+
+    /// `E[|D|]` — the mean error distance (MED).
+    pub fn mean_absolute(&self) -> T {
+        self.pmf.iter().fold(T::zero(), |acc, (d, p)| {
+            acc + unsigned_scale::<T>(u128::from(d.unsigned_abs())) * p.clone()
+        })
+    }
+
+    /// `E[D²]` — the mean squared error distance (MSE); each `d²` is formed
+    /// in `u128`, exact for every `|d| < 2^64`.
+    pub fn mean_squared(&self) -> T {
+        self.pmf.iter().fold(T::zero(), |acc, (d, p)| {
+            let mag = u128::from(d.unsigned_abs());
+            acc + unsigned_scale::<T>(mag * mag) * p.clone()
+        })
+    }
+
+    /// `E[|D|] / (2^{width+1} − 1)` — the mean error distance normalized by
+    /// the largest representable output (sum bits plus carry), the usual
+    /// width-independent quality score (often written NMED or MRED against
+    /// the full-scale output).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width > 62` (the normalizer must fit `u64`).
+    pub fn normalized_mean_absolute(&self, width: usize) -> T {
+        assert!(width <= 62, "normalizer 2^(width+1)-1 must fit u64");
+        let full_scale = (1u64 << (width + 1)) - 1;
+        let inv = T::from_ratio(1, full_scale);
+        self.mean_absolute() * inv
     }
 
     /// `P(|D| > bound)` — the tail mass beyond an application's error
@@ -71,16 +110,54 @@ impl<T: Prob> ErrorDistribution<T> {
             .max()
             .unwrap_or(0)
     }
+
+    /// The cumulative distribution `(d, P(D ≤ d))`, one entry per support
+    /// point in ascending `d`; the last entry's probability is the total
+    /// mass (exactly 1 for a complete distribution).
+    pub fn cdf(&self) -> Vec<(i64, T)> {
+        let mut acc = T::zero();
+        self.pmf
+            .iter()
+            .map(|(d, p)| {
+                acc = acc.clone() + p.clone();
+                (*d, acc.clone())
+            })
+            .collect()
+    }
+
+    /// Total probability mass (must be 1 for a complete distribution;
+    /// exposed so exact tests can assert it).
+    pub fn total_mass(&self) -> T {
+        self.pmf
+            .iter()
+            .fold(T::zero(), |acc, (_, p)| acc + p.clone())
+    }
 }
 
 /// Builds `T`'s representation of a (possibly negative) integer.
 fn signed_scale<T: Prob>(d: i64) -> T {
-    let mag = T::from_ratio(d.unsigned_abs(), 1);
+    let mag = unsigned_scale::<T>(u128::from(d.unsigned_abs()));
     if d < 0 {
         T::zero() - mag
     } else {
         mag
     }
+}
+
+/// Builds `T`'s representation of a `u128` exactly. Horner over 32-bit
+/// limbs: every limb stays far below `i64::MAX`, which `from_ratio`'s
+/// signed `Rational` implementation requires.
+fn unsigned_scale<T: Prob>(mag: u128) -> T {
+    if mag <= u128::from(u32::MAX) {
+        return T::from_ratio(mag as u64, 1);
+    }
+    let two32 = T::from_ratio(1u64 << 32, 1);
+    let mut acc = T::zero();
+    for i in (0..4).rev() {
+        let limb = ((mag >> (32 * i)) & u128::from(u32::MAX)) as u64;
+        acc = acc * two32.clone() + T::from_ratio(limb, 1);
+    }
+    acc
 }
 
 /// Computes the exact PMF of the signed error distance.
@@ -243,7 +320,7 @@ mod tests {
         let profile = InputProfile::<Rational>::constant(3, Rational::from_ratio(1, 3));
         let dist = error_distribution(&chain, &profile).expect("widths match");
         let joint = exact_error_analysis(&chain, &profile).expect("widths match");
-        assert_eq!(dist.error_probability(), joint.output_error);
+        assert_eq!(dist.error_rate(), joint.output_error);
     }
 
     #[test]
@@ -262,7 +339,7 @@ mod tests {
         let dist = error_distribution(&chain, &profile).expect("widths match");
         // Tail beyond the maximum must be empty; tail beyond 0 is P(err).
         assert!(dist.tail_beyond(dist.max_absolute_error()).is_zero());
-        assert_eq!(dist.tail_beyond(0), dist.error_probability());
+        assert_eq!(dist.tail_beyond(0), dist.error_rate());
         assert!(dist.max_absolute_error() > 0);
     }
 
@@ -272,7 +349,7 @@ mod tests {
         let profile = InputProfile::<Rational>::constant(6, Rational::from_ratio(1, 4));
         let dist = error_distribution(&chain, &profile).expect("widths match");
         assert_eq!(dist.pmf, vec![(0, Rational::one())]);
-        assert!(dist.error_probability().is_zero());
+        assert!(dist.error_rate().is_zero());
     }
 
     #[test]
@@ -282,6 +359,74 @@ mod tests {
         let chain = AdderChain::uniform(StandardCell::Lpaa1.cell(), w);
         let profile = InputProfile::<f64>::uniform(w);
         let _ = error_distribution(&chain, &profile);
+    }
+
+    fn dist() -> ErrorDistribution<Rational> {
+        ErrorDistribution {
+            pmf: vec![
+                (-4, Rational::from_ratio(1, 8)),
+                (0, Rational::from_ratio(3, 4)),
+                (2, Rational::from_ratio(1, 8)),
+            ],
+        }
+    }
+
+    #[test]
+    fn statistics_are_exact() {
+        let d = dist();
+        assert_eq!(d.error_rate(), Rational::from_ratio(1, 4));
+        assert_eq!(d.mean(), Rational::from_ratio(-1, 4));
+        assert_eq!(d.mean_absolute(), Rational::from_ratio(3, 4));
+        // E[D²] = 16/8 + 4/8 = 5/2.
+        assert_eq!(d.mean_squared(), Rational::from_ratio(5, 2));
+        assert_eq!(d.max_absolute_error(), 4);
+        assert_eq!(d.tail_beyond(2), Rational::from_ratio(1, 8));
+        assert_eq!(d.tail_beyond(0), d.error_rate());
+        assert_eq!(d.total_mass(), Rational::one());
+        assert_eq!(d.probability_of(2), Rational::from_ratio(1, 8));
+        assert!(d.probability_of(1).is_zero());
+    }
+
+    #[test]
+    fn cdf_is_monotone_and_ends_at_total_mass() {
+        let d = dist();
+        let cdf = d.cdf();
+        assert_eq!(cdf.len(), d.pmf.len());
+        for pair in cdf.windows(2) {
+            assert!(pair[0].1 <= pair[1].1);
+        }
+        assert_eq!(cdf.last().expect("non-empty").1, Rational::one());
+    }
+
+    #[test]
+    fn normalized_mean_uses_full_scale_output() {
+        let d = dist();
+        // width 2 ⇒ full scale 2³−1 = 7.
+        assert_eq!(d.normalized_mean_absolute(2), Rational::from_ratio(3, 28));
+    }
+
+    #[test]
+    fn wide_support_keys_stay_exact() {
+        // A support point near the 47-bit replay bound: the scale helpers
+        // must not lose a single ulp in Rational.
+        let big = (1i64 << 48) - 3;
+        let d = ErrorDistribution {
+            pmf: vec![(big, Rational::one())],
+        };
+        assert_eq!(d.mean(), Rational::from_ratio((1i64 << 48) - 3, 1));
+        assert_eq!(d.max_absolute_error(), big as u64);
+        let sq = d.mean_squared();
+        let expect =
+            Rational::from_ratio((1i64 << 48) - 3, 1) * Rational::from_ratio((1i64 << 48) - 3, 1);
+        assert_eq!(sq, expect);
+    }
+
+    #[test]
+    fn empty_distribution_is_all_zero() {
+        let d = ErrorDistribution::<f64> { pmf: vec![] };
+        assert_eq!(d.error_rate(), 0.0);
+        assert_eq!(d.max_absolute_error(), 0);
+        assert!(d.cdf().is_empty());
     }
 
     #[test]

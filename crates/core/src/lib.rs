@@ -28,6 +28,9 @@
 //! * [`exact_error_analysis`] — an exact joint-chain DP (an extension beyond
 //!   the paper) that also captures the rare error-*cancellation* effects the
 //!   first-deviation semantics cannot, and per-bit error rates.
+//! * [`error_distribution`] — the exact error-distance PMF of a chain, as an
+//!   [`ErrorDistribution`]: the workspace's one PMF type, which
+//!   `sealpaa-blocks` also fills for block-based adders.
 //!
 //! # Examples
 //!
@@ -51,7 +54,6 @@
 
 mod analyzer;
 mod carry;
-mod distance;
 mod distribution;
 mod exact;
 mod extremes;
@@ -63,7 +65,6 @@ mod stepper;
 
 pub use analyzer::{analyze, analyze_instrumented, Analysis, AnalyzeError, StageTrace};
 pub use carry::CarryState;
-pub use distance::ErrorDistanceDistribution;
 pub use distribution::{error_distribution, ErrorDistribution, MAX_DISTRIBUTION_WIDTH};
 pub use exact::{exact_error_analysis, ExactErrorAnalysis};
 pub use extremes::{worst_case_error, worst_case_relative_error, Witness, WorstCaseError};

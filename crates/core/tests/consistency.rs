@@ -42,7 +42,7 @@ fn analysis_and_distribution_agree_exactly_on_error_probability() {
             let analysis = analyze(&chain, &profile).expect("valid");
             let dist = error_distribution(&chain, &profile).expect("valid");
             assert_eq!(
-                dist.error_probability(),
+                dist.error_rate(),
                 analysis.error_probability(),
                 "{cell} under {profile:?}"
             );

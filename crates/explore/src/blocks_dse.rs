@@ -31,7 +31,7 @@ use std::fmt;
 
 use sealpaa_blocks::{error_distance_distribution, BlockConfig, BlockDistanceStepper, BlockSpec};
 use sealpaa_cells::{Cell, InputProfile};
-use sealpaa_core::ErrorDistanceDistribution;
+use sealpaa_core::ErrorDistribution;
 
 use crate::prefix::{self, PrefixSearch};
 use crate::search::{pareto_filter, ExploreError, MAX_SEARCH};
@@ -205,7 +205,7 @@ pub struct BlockEvaluation {
 
 impl BlockEvaluation {
     fn from_distribution(
-        dist: &ErrorDistanceDistribution<f64>,
+        dist: &ErrorDistribution<f64>,
         power_nw: f64,
         area_ge: f64,
         max_window_len: usize,

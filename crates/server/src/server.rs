@@ -1426,7 +1426,7 @@ fn blocks_result(spec: &BlocksSpec) -> Result<Json, String> {
     let width = spec.config.width();
     // Error distances are bounded by 2^(width+1) ≤ 2^48, so every support
     // point is exactly representable as an f64 JSON number.
-    let points = |pairs: &[(i128, f64)]| -> Vec<Json> {
+    let points = |pairs: &[(i64, f64)]| -> Vec<Json> {
         pairs
             .iter()
             .map(|&(d, p)| Json::Array(vec![Json::Number(d as f64), Json::Number(p)]))
@@ -1444,7 +1444,7 @@ fn blocks_result(spec: &BlocksSpec) -> Result<Json, String> {
             "normalized_mean_absolute",
             dist.normalized_mean_absolute(width),
         )
-        .field("max_absolute", dist.max_absolute() as u64)
+        .field("max_absolute", dist.max_absolute_error())
         .field("support", dist.pmf.len() as u64);
     if dist.pmf.len() <= MAX_BLOCKS_PMF_ENTRIES {
         obj = obj.field("pmf", points(&dist.pmf));

@@ -52,12 +52,14 @@ pub enum SimError {
         /// Bits in the profile.
         profile: usize,
     },
-    /// Exhaustive enumeration of `2^(2N+1)` cases is infeasible for this
-    /// width — the very effect paper Fig. 1 plots.
+    /// The chain is wider than the engine accepts: exhaustive enumeration
+    /// of `2^(2N+1)` cases is infeasible past [`MAX_EXHAUSTIVE_WIDTH`] —
+    /// the very effect paper Fig. 1 plots — and Monte-Carlo stops at 62
+    /// bits, where every error distance still fits `i64`.
     WidthTooLarge {
         /// Requested adder width.
         width: usize,
-        /// Maximum width this build will enumerate.
+        /// Widest adder the engine accepts.
         max: usize,
     },
 }
@@ -71,9 +73,7 @@ impl fmt::Display for SimError {
             ),
             SimError::WidthTooLarge { width, max } => write!(
                 f,
-                "exhaustive simulation of a {width}-bit adder needs 2^{} cases; \
-                 widths above {max} are refused",
-                2 * width + 1
+                "{width}-bit adders are refused: this simulation supports at most {max} bits"
             ),
         }
     }

@@ -57,7 +57,7 @@ impl MetricsAccumulator {
 
     /// Records a whole block of erroneous cases whose aggregate moments were
     /// pre-summed by the caller (in plane space by the Monte-Carlo kernel's
-    /// per-batch [`error_stats64`](sealpaa_cells::error_stats64) call, or
+    /// per-batch [`error_stats`](sealpaa_cells::error_stats) call, or
     /// lane-by-lane with a factored batch weight by the exhaustive kernel),
     /// so the accumulator takes one update per 64-lane batch instead of one
     /// per erroneous lane. The block's weight must already be part of the

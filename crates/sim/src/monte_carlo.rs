@@ -85,6 +85,10 @@ impl MonteCarloReport {
     }
 }
 
+/// Widest chain both engines accept: a 62-bit adder's output (sum plus
+/// carry) is below `2^63`, so every error distance fits `i64`.
+const MAX_MONTE_CARLO_WIDTH: usize = 62;
+
 fn validate<T: Prob>(chain: &AdderChain, profile: &InputProfile<T>) -> Result<usize, SimError> {
     let width = chain.width();
     if width != profile.width() {
@@ -93,8 +97,11 @@ fn validate<T: Prob>(chain: &AdderChain, profile: &InputProfile<T>) -> Result<us
             profile: profile.width(),
         });
     }
-    if width > 64 {
-        return Err(SimError::WidthTooLarge { width, max: 64 });
+    if width > MAX_MONTE_CARLO_WIDTH {
+        return Err(SimError::WidthTooLarge {
+            width,
+            max: MAX_MONTE_CARLO_WIDTH,
+        });
     }
     Ok(width)
 }
@@ -224,8 +231,8 @@ impl SimdKernel for McWorker<'_> {
 /// # Errors
 ///
 /// Returns [`SimError::WidthMismatch`] if `profile` does not match the chain,
-/// or [`SimError::WidthTooLarge`] if the chain exceeds 64 bits (the
-/// functional evaluator's limit).
+/// or [`SimError::WidthTooLarge`] if the chain exceeds 62 bits: the widest
+/// adder whose full output value, and so every error distance, fits `i64`.
 ///
 /// # Examples
 ///
@@ -579,5 +586,18 @@ mod tests {
         let profile = InputProfile::<f64>::uniform(3);
         assert!(monte_carlo(&chain, &profile, MonteCarloConfig::default()).is_err());
         assert!(monte_carlo_scalar(&chain, &profile, MonteCarloConfig::default()).is_err());
+        // Past 62 bits an error distance no longer fits i64: both engines
+        // refuse the chain instead of overflowing.
+        for width in [63usize, 64] {
+            let chain = AdderChain::uniform(StandardCell::Lpaa1.cell(), width);
+            let profile = InputProfile::<f64>::uniform(width);
+            let config = MonteCarloConfig {
+                samples: 4096,
+                ..MonteCarloConfig::default()
+            };
+            let expect = SimError::WidthTooLarge { width, max: 62 };
+            assert_eq!(monte_carlo(&chain, &profile, config), Err(expect.clone()));
+            assert_eq!(monte_carlo_scalar(&chain, &profile, config), Err(expect));
+        }
     }
 }

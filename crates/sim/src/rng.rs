@@ -105,53 +105,6 @@ impl Xoshiro256pp {
         lo + self.next_f64() * (hi - lo)
     }
 
-    /// 64 independent Bernoulli draws at once: bit `l` of the result is `1`
-    /// with probability `q / 2^53` — the bitsliced counterpart of 64 calls
-    /// to [`next_bool`](Self::next_bool). `q` is a probability quantized to
-    /// 53 fractional bits by [`quantize_p53`].
-    ///
-    /// The construction is a lane-parallel binary expansion: conceptually
-    /// each lane compares a uniform 53-bit integer `U` against `q`,
-    /// most-significant bit first. One `next_u64` supplies bit `k` of all 64
-    /// lanes' `U`s; a lane is decided `true` as soon as its `U` bit is 0
-    /// where `q`'s bit is 1, decided `false` as soon as its `U` bit is 1
-    /// where `q`'s bit is 0, and lanes still undecided when the expansion is
-    /// exhausted have `U = q`, i.e. `U < q` is false. Because the set of
-    /// undecided lanes halves per word in expectation, the expected cost is
-    /// ~`log2(64) + 2 ≈ 8` words per call for *any* `p` — not the 53 words a
-    /// non-adaptive bit-by-bit combine would need.
-    ///
-    /// Deterministic: the words consumed are a pure function of the stream
-    /// position and `q`.
-    pub fn next_bernoulli64(&mut self, q: u64) -> u64 {
-        if q == 0 {
-            return 0;
-        }
-        if q >= 1 << 53 {
-            return u64::MAX;
-        }
-        let mut result = 0u64;
-        let mut undecided = u64::MAX;
-        // Below `stop` every remaining bit of q is 0, so an undecided lane
-        // (U prefix-equal to q) can only satisfy U ≥ q: decided false.
-        let stop = q.trailing_zeros();
-        let mut bit = 52u32;
-        loop {
-            let u = self.next_u64();
-            // Branch-free row update: with q's bit broadcast to a mask `qm`,
-            // a q-bit of 1 decides U-bit-0 lanes true and keeps U-bit-1
-            // lanes undecided; a q-bit of 0 decides U-bit-1 lanes false and
-            // keeps U-bit-0 lanes undecided.
-            let qm = ((q >> bit) & 1).wrapping_neg();
-            result |= undecided & !u & qm;
-            undecided &= !(u ^ qm);
-            if undecided == 0 || bit <= stop {
-                return result;
-            }
-            bit -= 1;
-        }
-    }
-
     /// A uniform integer in `[0, n)` via Lemire's multiply-shift rejection
     /// (unbiased). `n` must be non-zero.
     pub fn next_below(&mut self, n: u64) -> u64 {
@@ -168,9 +121,10 @@ impl Xoshiro256pp {
     }
 }
 
-/// Quantizes a probability to 53 fractional bits for
-/// [`Xoshiro256pp::next_bernoulli64`]: the nearest multiple of `2^-53`,
-/// clamped to `[0, 1]`. `2^-53` matches the resolution of
+/// Quantizes a probability to 53 fractional bits for the bit-plane
+/// sampler ([`PooledSampler`](crate::PooledSampler)) and its
+/// classification ([`plan_kind`](crate::plan_kind)): the nearest multiple
+/// of `2^-53`, clamped to `[0, 1]`. `2^-53` matches the resolution of
 /// [`Xoshiro256pp::next_f64`], so the quantization error is below anything a
 /// Monte-Carlo run could resolve.
 pub fn quantize_p53(p: f64) -> u64 {
@@ -242,72 +196,6 @@ mod tests {
         assert_eq!(quantize_p53(2.0), 1 << 53);
         assert_eq!(quantize_p53(0.5), 1 << 52);
         assert_eq!(quantize_p53(0.25), 1 << 51);
-    }
-
-    #[test]
-    fn bernoulli64_degenerate_probabilities_consume_no_randomness() {
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
-        let before = rng.clone();
-        assert_eq!(rng.next_bernoulli64(0), 0);
-        assert_eq!(rng.next_bernoulli64(1 << 53), u64::MAX);
-        assert_eq!(rng, before, "p ∈ {{0, 1}} must not advance the stream");
-    }
-
-    #[test]
-    fn bernoulli64_is_deterministic() {
-        let q = quantize_p53(0.3);
-        let a: Vec<u64> = {
-            let mut r = Xoshiro256pp::seed_from_u64(5);
-            (0..16).map(|_| r.next_bernoulli64(q)).collect()
-        };
-        let b: Vec<u64> = {
-            let mut r = Xoshiro256pp::seed_from_u64(5);
-            (0..16).map(|_| r.next_bernoulli64(q)).collect()
-        };
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn bernoulli64_half_probability_is_one_word() {
-        // p = 0.5 has a single significant bit, so the first word decides
-        // every lane: result = !u, exactly one next_u64 consumed.
-        let mut reference = Xoshiro256pp::seed_from_u64(9);
-        let expect = !reference.next_u64();
-        let after = reference.next_u64();
-        let mut rng = Xoshiro256pp::seed_from_u64(9);
-        assert_eq!(rng.next_bernoulli64(quantize_p53(0.5)), expect);
-        assert_eq!(rng.next_u64(), after);
-    }
-
-    #[test]
-    fn bernoulli64_lane_frequency_tracks_p() {
-        for p in [0.1, 0.5, 0.9, 0.0137] {
-            let q = quantize_p53(p);
-            let mut rng = Xoshiro256pp::seed_from_u64(0xB00);
-            let draws = 4_000u32;
-            let mut per_lane = [0u32; 64];
-            let mut total = 0u64;
-            for _ in 0..draws {
-                let w = rng.next_bernoulli64(q);
-                total += u64::from(w.count_ones());
-                for (lane, count) in per_lane.iter_mut().enumerate() {
-                    *count += ((w >> lane) & 1) as u32;
-                }
-            }
-            let n = draws as f64 * 64.0;
-            let freq = total as f64 / n;
-            let sigma = (p * (1.0 - p) / n).sqrt();
-            assert!((freq - p).abs() < 5.0 * sigma + 1e-9, "p={p}: freq {freq}");
-            // Every lane individually tracks p too (no positional bias).
-            for (lane, &count) in per_lane.iter().enumerate() {
-                let lane_freq = count as f64 / draws as f64;
-                let lane_sigma = (p * (1.0 - p) / draws as f64).sqrt();
-                assert!(
-                    (lane_freq - p).abs() < 6.0 * lane_sigma + 1e-9,
-                    "p={p} lane {lane}: freq {lane_freq}"
-                );
-            }
-        }
     }
 
     #[test]

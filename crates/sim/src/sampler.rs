@@ -2,10 +2,11 @@
 //!
 //! BENCH_simulation.json showed the biased-input regime (p = 0.1) to be
 //! *entropy-bound*: at p = 0.5 one `next_u64` decides a whole 64-lane
-//! plane, while the adaptive binary expansion of
-//! [`Xoshiro256pp::next_bernoulli64`] needs ~`log2(64) + 2 ≈ 8` words per
-//! plane for general p — the RNG, not the adder kernel, dominated. This
-//! module attacks that bound from three directions:
+//! plane, while a 64-lane adaptive binary expansion (a lane-parallel
+//! `U < q` comparison of 53-bit uniforms, most-significant bit first)
+//! needs ~`log2(64) + 2 ≈ 8` words per plane for general p — the RNG, not
+//! the adder kernel, dominated. This module attacks that bound from three
+//! directions:
 //!
 //! * **Wide words.** [`WideXoshiro`] runs `W::WORDS` independent
 //!   xoshiro256++ streams element-wise, so one `next()` yields `W::LANES`
@@ -160,9 +161,8 @@ impl Plan {
                 r
             }
             Plan::Adaptive { q, stop } => {
-                // Lane-parallel binary expansion, MSB first (the wide form
-                // of `Xoshiro256pp::next_bernoulli64`): each fresh word
-                // supplies one bit of every lane's uniform U; a lane is
+                // Lane-parallel binary expansion, MSB first: each fresh
+                // word supplies one bit of every lane's uniform U; a lane is
                 // decided `true` the first time its U bit is 0 where q's
                 // bit is 1, `false` on the opposite disagreement, and
                 // lanes still undecided at `stop` have U ≥ q.
@@ -426,13 +426,17 @@ mod tests {
     #[test]
     fn mask_composition_matches_adaptive_distribution() {
         // 3/16 takes the Horner path; force the adaptive path for the same
-        // probability through the scalar RNG and compare means.
+        // probability on a 64-lane stream and compare means.
         let q = quantize_p53(3.0 / 16.0);
-        let mut scalar = Xoshiro256pp::seed_from_u64(3);
+        let adaptive = Plan::Adaptive {
+            q,
+            stop: q.trailing_zeros(),
+        };
+        let mut scalar = WideXoshiro::<u64>::seed_from_u64(3);
         let mut scalar_ones = 0u64;
         let draws = 8000;
         for _ in 0..draws {
-            scalar_ones += u64::from(scalar.next_bernoulli64(q).count_ones());
+            scalar_ones += u64::from(adaptive.draw(&mut scalar).count_ones());
         }
         let horner = empirical_mean::<u64>(3.0 / 16.0, 3, draws as u32);
         let scalar_mean = scalar_ones as f64 / (draws as f64 * 64.0);

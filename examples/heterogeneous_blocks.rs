@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  E[D]        : {:+.4}", dist.mean());
     println!("  E[|D|]      : {:.4}", dist.mean_absolute());
     println!("  E[D^2]      : {:.4}", dist.mean_squared());
-    println!("  max |D|     : {}", dist.max_absolute());
+    println!("  max |D|     : {}", dist.max_absolute_error());
 
     let cdf = dist.cdf();
     println!(

@@ -39,7 +39,9 @@ run cargo test --offline --manifest-path perfbench/Cargo.toml -q
 # The offline solves end to end in a release build: the trace read back by
 # read_binary must replay as replay_scalar does, and alike on every pass;
 # each DSE must find its pinned winner; Monte-Carlo must land within six
-# standard errors of the analysis. The run's last line says whether every
+# standard errors of the analysis. Then every engine kind (blocks, simulate,
+# gear and the rest) through `sealpaa route` to a daemon fleet, one distinct
+# key per line, each answer checked. Each run's last line says whether every
 # answer held. perfbench refuses hosts with fewer than 2 CPUs.
 if [[ $(nproc) -ge 2 ]]; then
     echo
@@ -50,9 +52,17 @@ if [[ $(nproc) -ge 2 ]]; then
         echo "ci: the offline_solve smoke got a wrong answer" >&2
         exit 1
     fi
+    echo
+    echo "==> bash perfbench/run.sh --workload cold_route --seed 1 --seconds 2 --trace 0"
+    result=$(bash perfbench/run.sh --workload cold_route --seed 1 --seconds 2 --trace 0 | tail -n 1)
+    echo "$result"
+    if [[ $result != *'"correct":true'* || $result != *'"failed":0'* ]]; then
+        echo "ci: the cold_route smoke got a wrong answer or a failed request" >&2
+        exit 1
+    fi
 else
     echo
-    echo "==> skipping the offline_solve smoke: perfbench needs 2 CPUs, this host has $(nproc)"
+    echo "==> skipping the perfbench smokes: perfbench needs 2 CPUs, this host has $(nproc)"
 fi
 
 # The differential suite: bitsliced engines vs the scalar reference oracle
