@@ -334,8 +334,10 @@ fn render_report(results: &[BenchResult]) -> String {
         );
     }
 
+    let host = sealpaa_bench::host::host_block();
     format!(
         "{{\n  \"generator\": \"cargo bench -p sealpaa-bench --bench analysis_kernels\",\n  \
+         \"host\": {host},\n  \
          \"unit\": \"ns_per_iter is the median wall-clock time of one full workload\",\n  \
          \"note\": \"the dse baseline re-runs a fresh O(N) analysis per design (the pre-PR \
          scan); the stepper rows walk the prefix-sharing DFS, which pays one stage step per \

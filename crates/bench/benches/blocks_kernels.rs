@@ -186,8 +186,10 @@ fn render_report(results: &[BenchResult], dist_width: usize, dse_width: usize) -
         );
     }
 
+    let host = sealpaa_bench::host::host_block();
     format!(
         "{{\n  \"generator\": \"cargo bench -p sealpaa-bench --bench blocks_kernels\",\n  \
+         \"host\": {host},\n  \
          \"unit\": \"ns_per_iter is the median wall-clock time of one full workload\",\n  \
          \"note\": \"the analytical row computes the exact error-distance PMF in one pass \
          over the bit positions (carry-state DP); the exhaustive row enumerates every \

@@ -233,8 +233,10 @@ fn render_report(results: &[BenchResult], label: &str, samples: u64) -> String {
         );
     }
 
+    let host = sealpaa_bench::host::host_block();
     format!(
         "{{\n  \"generator\": \"cargo bench -p sealpaa-bench --bench datapath_kernels\",\n  \
+         \"host\": {host},\n  \
          \"unit\": \"ns_per_iter is the median wall-clock time of one full workload\",\n  \
          \"note\": \"the analytical row predicts the output-error moments (and SNR) of a \
          3x3 Gaussian-blur convolution built from LPAA 5 adders in one pass over the graph \

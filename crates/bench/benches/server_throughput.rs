@@ -358,8 +358,10 @@ fn render_report(results: &[BenchResult], n: usize) -> String {
         );
     }
 
+    let host = sealpaa_bench::host::host_block();
     format!(
         "{{\n  \"generator\": \"cargo bench -p sealpaa-bench --bench server_throughput\",\n  \
+         \"host\": {host},\n  \
          \"unit\": \"ns_per_iter is the median wall-clock time of one full workload \
          ({n} requests)\",\n  \
          \"note\": \"every workload asks an in-process event-loop daemon the same {n} \

@@ -266,8 +266,10 @@ fn render_report(results: &[BenchResult]) -> String {
 
     let p01_scalar = ns_of(results, "scalar_vs_bitsliced/mc_lpaa6_w16_p0.1/scalar");
     let p01_fast = ns_of(results, "scalar_vs_bitsliced/mc_lpaa6_w16_p0.1/bitsliced");
+    let host = sealpaa_bench::host::host_block();
     format!(
         "{{\n  \"generator\": \"cargo bench -p sealpaa-bench --bench simulation_kernels\",\n  \
+         \"host\": {host},\n  \
          \"simd_backend\": \"{active}\",\n  \
          \"unit\": \"ns_per_iter is the median wall-clock time of one full workload\",\n  \
          \"note\": \"speedups compare against the scalar single-threaded engine on the same \

@@ -24,5 +24,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod host;
 pub mod microbench;
 pub mod report;

@@ -34,22 +34,35 @@
 //! of element `l / 64` — so a wide batch is exactly `WORDS` consecutive
 //! 64-lane batches evaluated together.
 //!
+//! Around the kernel sit the plane-space helpers its callers share:
+//! [`transpose_lanes`] turns 64 lane values into bit-planes and back (trace
+//! statistics and replay load their records through it), and a batch's
+//! error distances settle either as aggregates, through the sign and
+//! magnitude planes of [`error_magnitudes`] (Monte-Carlo moments, replay's
+//! exact sums), or per lane, through [`biased_distance_lanes`] and
+//! [`error_distances64`] (the error-distance histograms).
+//!
 //! # Examples
 //!
 //! ```
-//! use sealpaa_cells::{pack_lanes_into, AdderChain, CompiledChain, StandardCell};
+//! use sealpaa_cells::{lane_value, transpose_lanes, AdderChain, CompiledChain, StandardCell};
 //!
 //! let chain = AdderChain::uniform(StandardCell::Lpaa3.cell(), 8);
 //! let kernel = CompiledChain::compile(&chain).kernel::<u64>();
 //!
-//! // Evaluate the same operands in lane 0 and lane 1.
-//! let (mut a_planes, mut b_planes, mut sum) = ([0u64; 8], [0u64; 8], [0u64; 8]);
-//! pack_lanes_into(&[13, 200], &mut a_planes);
-//! pack_lanes_into(&[77, 31], &mut b_planes);
-//! let cout = kernel.eval_into(&a_planes, &b_planes, 0, &mut sum);
+//! // Two additions in lanes 0 and 1: row `l` of a 64×64 bit matrix holds
+//! // lane `l`'s operand, and the transpose turns the rows into bit-planes.
+//! let (a, b) = ([13u64, 200], [77u64, 31]);
+//! let (mut a_planes, mut b_planes) = ([0u64; 64], [0u64; 64]);
+//! a_planes[..2].copy_from_slice(&a);
+//! b_planes[..2].copy_from_slice(&b);
+//! transpose_lanes(&mut a_planes);
+//! transpose_lanes(&mut b_planes);
+//! let mut sum = [0u64; 8];
+//! let cout = kernel.eval_into(&a_planes[..8], &b_planes[..8], 0, &mut sum);
 //! for lane in 0..2 {
-//!     let scalar = chain.add([13, 200][lane], [77, 31][lane], false);
-//!     assert_eq!(sealpaa_cells::lane_value(&sum, cout, lane), scalar.value());
+//!     let scalar = chain.add(a[lane], b[lane], false);
+//!     assert_eq!(lane_value(&sum, cout, lane), scalar.value());
 //! }
 //! ```
 
@@ -358,22 +371,47 @@ pub fn splat_planes<W: SimdWord>(value: u64, planes: &mut [W]) {
 /// operation.
 #[inline(always)]
 pub fn transpose_lanes<W: SimdWord>(m: &mut [W; 64]) {
-    let mut j = 32u32;
-    let mut mask = 0x0000_0000_FFFF_FFFFu64;
-    while j != 0 {
-        let wmask = W::splat(mask);
-        let mut k = 0usize;
-        while k < 64 {
-            for i in k..k + j as usize {
-                let t = (m[i].shr64(j) ^ m[i + j as usize]) & wmask;
-                m[i] = m[i] ^ t.shl64(j);
-                m[i + j as usize] = m[i + j as usize] ^ t;
-            }
-            k += 2 * j as usize;
+    swap_blocks::<W, 32>(m, 0x0000_0000_FFFF_FFFF);
+    swap_blocks::<W, 16>(m, 0x0000_FFFF_0000_FFFF);
+    swap_blocks::<W, 8>(m, 0x00FF_00FF_00FF_00FF);
+    swap_blocks::<W, 4>(m, 0x0F0F_0F0F_0F0F_0F0F);
+    swap_blocks::<W, 2>(m, 0x3333_3333_3333_3333);
+    swap_blocks::<W, 1>(m, 0x5555_5555_5555_5555);
+}
+
+/// Expands `$body` once per row index `0..64`, bound to `$i` as a
+/// constant: straight-line code with no loop left to vectorize.
+macro_rules! for_each_row {
+    ($i:ident => $body:block) => {
+        for_each_row!(@rows $i $body
+            0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15
+            16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31
+            32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47
+            48 49 50 51 52 53 54 55 56 57 58 59 60 61 62 63)
+    };
+    (@rows $i:ident $body:block $($row:literal)*) => {
+        $({
+            let $i: usize = $row;
+            $body
+        })*
+    };
+}
+
+/// One round of [`transpose_lanes`]: exchanges the `J`-bit blocks selected
+/// by `mask` between rows `i` and `i + J`. Every row index and shift is a
+/// constant and the rows are unrolled, so each exchange compiles to whole
+/// word operations. (Left as a loop over rows, the wide words were
+/// vectorized across rows instead, with a gather per element.)
+#[inline(always)]
+fn swap_blocks<W: SimdWord, const J: usize>(m: &mut [W; 64], mask: u64) {
+    let mask = W::splat(mask);
+    for_each_row!(i => {
+        if i & J == 0 {
+            let t = (m[i].shr64(J as u32) ^ m[i + J]) & mask;
+            m[i] = m[i] ^ t.shl64(J as u32);
+            m[i + J] = m[i + J] ^ t;
         }
-        j >>= 1;
-        mask ^= mask << j;
-    }
+    });
 }
 
 /// Computes, for every lane, the *biased* signed error distance
@@ -387,9 +425,9 @@ pub fn transpose_lanes<W: SimdWord>(m: &mut [W; 64]) {
 /// wide [`transpose_lanes`]. The cost is `O(width + 64·log 64)` wide-word
 /// operations per call — independent of how many lanes mismatch, and
 /// scaling with the backend's lane count — where a per-lane
-/// [`error_distances64`] walk is serial in the erroneous lanes. Sweep and
-/// replay engines switch to this path when a batch's mismatch mask is
-/// dense.
+/// [`error_distances64`] walk is serial in the erroneous lanes. The
+/// exhaustive error-distance histogram switches to this path when a batch's
+/// mismatch mask is dense.
 ///
 /// # Panics
 ///
@@ -427,25 +465,6 @@ pub fn biased_distance_lanes<W: SimdWord>(
         *plane = W::zero();
     }
     transpose_lanes(m);
-}
-
-/// Transposes up to 64 scalar values into bit-planes, in place: bit `l` of
-/// `planes[i]` is bit `i` of `values[l]` (missing lanes are zero, and
-/// operand bits at or above `planes.len()` are dropped). This is the hot
-/// packing path of trace replay; the cost is one 64×64 bit-matrix
-/// [`transpose_lanes`], independent of how many of the 64 lanes are
-/// occupied.
-///
-/// # Panics
-///
-/// Panics if more than 64 values or more than 64 planes are given.
-pub fn pack_lanes_into(values: &[u64], planes: &mut [u64]) {
-    assert!(values.len() <= 64, "a plane word holds at most 64 lanes");
-    assert!(planes.len() <= 64, "at most 64 bit-planes per operand");
-    let mut m = [0u64; 64];
-    m[..values.len()].copy_from_slice(values);
-    transpose_lanes(&mut m);
-    planes.copy_from_slice(&m[..planes.len()]);
 }
 
 /// Extracts lane `l`'s full numeric value (sum bits plus the carry-out as
@@ -531,16 +550,103 @@ pub struct ErrorStats64 {
     pub max_abs_ed: u64,
 }
 
+/// The signs of one batch's error distances and their largest magnitude,
+/// returned by [`error_magnitudes`] beside the magnitude planes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ErrorSigns<W> {
+    /// Mismatching lanes whose approximate value exceeds the exact one.
+    pub positive: W,
+    /// Mismatching lanes whose approximate value falls short of the exact one.
+    pub negative: W,
+    /// `max |approx − exact|` over the mismatching lanes.
+    pub max_abs_ed: u64,
+}
+
+/// Settles a batch's error distances in sign-magnitude form, entirely in
+/// plane space: writes `|approx − exact|` of every lane in `mismatch` as
+/// bit-planes into `mag` (`width + 1` planes, zero outside `mismatch`) and
+/// returns the lanes' signs and the largest magnitude. The cost is
+/// `O(width)` word operations however many lanes erred.
+///
+/// The construction: a most-significant-bit-first scan finds the lanes
+/// where the approximate value exceeds the exact one; a lane-parallel
+/// borrow-ripple subtraction of the smaller value from the larger yields
+/// the magnitude planes; an MSB-first candidate-narrowing scan reads off
+/// the maximum magnitude. [`error_stats`] and trace replay both weight
+/// these planes by popcount.
+///
+/// # Panics
+///
+/// Panics if the sum slice lengths differ or `mag` does not hold
+/// `width + 1` planes, or (in debug builds) if the width is 64 (the
+/// carry-out would sit at bit 64).
+#[inline(always)]
+pub fn error_magnitudes<W: SimdWord>(
+    approx_sum: &[W],
+    approx_cout: W,
+    exact_sum: &[W],
+    exact_cout: W,
+    mismatch: W,
+    mag: &mut [W],
+) -> ErrorSigns<W> {
+    assert_eq!(approx_sum.len(), exact_sum.len(), "operand width mismatch");
+    let width = approx_sum.len();
+    assert_eq!(
+        mag.len(),
+        width + 1,
+        "magnitude planes need width + 1 words"
+    );
+    debug_assert!(width < 64, "carry-out weight 2^width must fit in u64");
+
+    // Lanes where approx > exact: first differing bit, MSB first.
+    let mut undecided = mismatch;
+    let mut gt = W::zero();
+    let d = (approx_cout ^ exact_cout) & undecided;
+    gt = gt | (d & approx_cout);
+    undecided = undecided & !d;
+    for i in (0..width).rev() {
+        let d = (approx_sum[i] ^ exact_sum[i]) & undecided;
+        gt = gt | (d & approx_sum[i]);
+        undecided = undecided & !d;
+    }
+    let lt = mismatch & !gt;
+
+    // |approx − exact| per lane: subtract the smaller value from the larger
+    // with a lane-parallel borrow ripple.
+    let mut borrow = W::zero();
+    for i in 0..width {
+        let x = (approx_sum[i] & gt) | (exact_sum[i] & lt);
+        let y = (exact_sum[i] & gt) | (approx_sum[i] & lt);
+        mag[i] = (x ^ y ^ borrow) & mismatch;
+        borrow = (!x & (y | borrow)) | (y & borrow);
+    }
+    let x = (approx_cout & gt) | (exact_cout & lt);
+    let y = (exact_cout & gt) | (approx_cout & lt);
+    mag[width] = (x ^ y ^ borrow) & mismatch;
+
+    // Maximum magnitude: narrow the candidate set bit by bit from the top.
+    let mut candidates = mismatch;
+    let mut max_abs_ed = 0u64;
+    for i in (0..=width).rev() {
+        let hit = candidates & mag[i];
+        if hit.any() {
+            candidates = hit;
+            max_abs_ed |= 1u64 << i;
+        }
+    }
+
+    ErrorSigns {
+        positive: gt,
+        negative: lt,
+        max_abs_ed,
+    }
+}
+
 /// Computes [`ErrorStats64`] for a batch entirely in plane space — no
 /// per-lane extraction, so the cost is `O(width)` regardless of how many
 /// lanes erred. Used by the Monte-Carlo kernel, where every lane has unit
-/// weight and only the aggregate moments are needed.
-///
-/// The construction: a most-significant-bit-first scan finds the lanes
-/// where the approximate value exceeds the exact one (`gt`); a lane-parallel
-/// borrow-ripple subtraction of the smaller value from the larger yields
-/// magnitude planes; popcounts of those planes weight each bit position, and
-/// an MSB-first candidate-narrowing scan reads off the maximum magnitude.
+/// weight and only the aggregate moments are needed: the popcount of each
+/// [`error_magnitudes`] plane, split by sign, weights its bit position.
 ///
 /// # Panics
 ///
@@ -557,61 +663,32 @@ pub fn error_stats<W: SimdWord>(
 ) -> ErrorStats64 {
     assert_eq!(approx_sum.len(), exact_sum.len(), "operand width mismatch");
     let width = approx_sum.len();
-    debug_assert!(width < 64, "carry-out weight 2^width must fit in u64");
     if !mismatch.any() {
         return ErrorStats64::default();
     }
-
-    // Lanes where approx > exact: first differing bit, MSB first.
-    let mut undecided = mismatch;
-    let mut gt = W::zero();
-    let d = (approx_cout ^ exact_cout) & undecided;
-    gt = gt | (d & approx_cout);
-    undecided = undecided & !d;
-    for i in (0..width).rev() {
-        let d = (approx_sum[i] ^ exact_sum[i]) & undecided;
-        gt = gt | (d & approx_sum[i]);
-        undecided = undecided & !d;
-    }
-    let lt = mismatch & !gt;
-
-    // |approx − exact| per lane as magnitude planes: subtract the smaller
-    // value from the larger with a lane-parallel borrow ripple.
     let mut mag = [W::zero(); 65];
-    let mut borrow = W::zero();
-    for i in 0..width {
-        let x = (approx_sum[i] & gt) | (exact_sum[i] & lt);
-        let y = (exact_sum[i] & gt) | (approx_sum[i] & lt);
-        mag[i] = (x ^ y ^ borrow) & mismatch;
-        borrow = (!x & (y | borrow)) | (y & borrow);
-    }
-    let x = (approx_cout & gt) | (exact_cout & lt);
-    let y = (exact_cout & gt) | (approx_cout & lt);
-    mag[width] = (x ^ y ^ borrow) & mismatch;
-
+    let mag = &mut mag[..=width];
+    let signs = error_magnitudes(
+        approx_sum,
+        approx_cout,
+        exact_sum,
+        exact_cout,
+        mismatch,
+        mag,
+    );
     let mut sum_ed = 0.0f64;
     let mut sum_abs_ed = 0.0f64;
-    for (i, &m) in mag[..=width].iter().enumerate() {
+    for (i, &m) in mag.iter().enumerate() {
         let weight = (1u128 << i) as f64;
         sum_abs_ed += m.count_ones() as f64 * weight;
-        sum_ed += ((m & gt).count_ones() as i64 - (m & lt).count_ones() as i64) as f64 * weight;
+        sum_ed += ((m & signs.positive).count_ones() as i64
+            - (m & signs.negative).count_ones() as i64) as f64
+            * weight;
     }
-
-    // Maximum magnitude: narrow the candidate set bit by bit from the top.
-    let mut candidates = mismatch;
-    let mut max_abs_ed = 0u64;
-    for i in (0..=width).rev() {
-        let hit = candidates & mag[i];
-        if hit.any() {
-            candidates = hit;
-            max_abs_ed |= 1u64 << i;
-        }
-    }
-
     ErrorStats64 {
         sum_ed,
         sum_abs_ed,
-        max_abs_ed,
+        max_abs_ed: signs.max_abs_ed,
     }
 }
 
@@ -636,9 +713,10 @@ mod tests {
 
     /// `width` bit-planes of up to 64 lane values.
     fn pack(values: &[u64], width: usize) -> Vec<u64> {
-        let mut planes = vec![0u64; width];
-        pack_lanes_into(values, &mut planes);
-        planes
+        let mut m = [0u64; 64];
+        m[..values.len()].copy_from_slice(values);
+        transpose_lanes(&mut m);
+        m[..width].to_vec()
     }
 
     /// Approximate and accurate sums of one 64-lane batch, with the
@@ -1088,6 +1166,50 @@ mod tests {
             error_stats::<u64>(&[0], 0, &[0], 0, 0),
             ErrorStats64::default()
         );
+    }
+
+    #[test]
+    fn error_magnitudes_match_per_lane_extraction() {
+        let mut rng = TestRng(0x516E);
+        for cell in [StandardCell::Lpaa2, StandardCell::Lpaa6] {
+            for width in [1usize, 9, 33] {
+                let mask = (1u64 << width) - 1;
+                let chain = AdderChain::uniform(cell.cell(), width);
+                let kernel = CompiledChain::compile(&chain).kernel::<u64>();
+                let a_vals: Vec<u64> = (0..64).map(|_| rng.next() & mask).collect();
+                let b_vals: Vec<u64> = (0..64).map(|_| rng.next() & mask).collect();
+                let (approx, exact, diff) = eval_batch(
+                    &kernel,
+                    &pack(&a_vals, width),
+                    &pack(&b_vals, width),
+                    rng.next(),
+                );
+                // Half the lanes masked off: they must come out zero.
+                let mismatch = diff.mismatch & rng.next();
+                let mut mag = vec![u64::MAX; width + 1];
+                let signs = error_magnitudes(
+                    &approx,
+                    diff.approx_cout,
+                    &exact,
+                    diff.exact_cout,
+                    mismatch,
+                    &mut mag,
+                );
+                let mut max_abs_ed = 0;
+                for lane in 0..64 {
+                    let ed = lane_value(&approx, diff.approx_cout, lane) as i64
+                        - lane_value(&exact, diff.exact_cout, lane) as i64;
+                    let active = (mismatch >> lane) & 1 == 1;
+                    let want = if active { ed.unsigned_abs() } else { 0 };
+                    let got = lane_value(&mag[..width], mag[width], lane);
+                    assert_eq!(got, want, "{cell} w{width} lane {lane}");
+                    assert_eq!((signs.positive >> lane) & 1 == 1, active && ed > 0);
+                    assert_eq!((signs.negative >> lane) & 1 == 1, active && ed < 0);
+                    max_abs_ed = max_abs_ed.max(want);
+                }
+                assert_eq!(signs.max_abs_ed, max_abs_ed, "{cell} w{width}");
+            }
+        }
     }
 
     #[test]

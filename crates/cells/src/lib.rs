@@ -50,9 +50,9 @@ mod truth_table;
 
 pub use chain::{AdderChain, AdditionResult};
 pub use compiled::{
-    accurate_eval, biased_distance_lanes, error_distances64, error_stats, lane_value,
-    pack_lanes_into, splat_planes, transpose_lanes, CompiledChain, CompiledKernel, ErrorStats64,
-    KernelDiff,
+    accurate_eval, biased_distance_lanes, error_distances64, error_magnitudes, error_stats,
+    lane_value, splat_planes, transpose_lanes, CompiledChain, CompiledKernel, ErrorSigns,
+    ErrorStats64, KernelDiff,
 };
 pub use library::{Cell, CellCharacteristics, ParseStandardCellError, StandardCell};
 pub use profile::{InputProfile, ProfileError};

@@ -5,8 +5,8 @@ use std::io::Write;
 
 use sealpaa_cells::AdderChain;
 use sealpaa_trace::{
-    fidelity, generate, replay_with_backend, write_binary, write_ndjson, SynthKind, TraceRecord,
-    TraceStats, VarId,
+    fidelity, generate, replay_with_backend, write_binary, write_ndjson, BinaryReader,
+    NdjsonReader, SynthKind, TraceError, TraceRecord, TraceStats, VarId,
 };
 
 use crate::args::{parse_chain_cells, ParsedArgs};
@@ -69,14 +69,19 @@ pub fn run<W: Write>(tokens: &[String], out: &mut W) -> Result<(), CliError> {
     }
 }
 
+/// Opens `--input FILE` for buffered reading.
+fn open_input(path: &str) -> Result<std::io::BufReader<std::fs::File>, CliError> {
+    let file = std::fs::File::open(path)
+        .map_err(|e| CliError::analysis(format!("cannot open {path}: {e}")))?;
+    Ok(std::io::BufReader::new(file))
+}
+
 /// Loads the trace records from `--input FILE` or synthesizes them from
 /// `--synth KIND`, returning `(width, records)`.
 fn load_records(args: &ParsedArgs) -> Result<(usize, Vec<TraceRecord>), CliError> {
     match (args.option("input"), args.option("synth")) {
         (Some(path), None) => {
-            let file = std::fs::File::open(path)
-                .map_err(|e| CliError::analysis(format!("cannot open {path}: {e}")))?;
-            let reader = std::io::BufReader::new(file);
+            let reader = open_input(path)?;
             if args.flag("binary") {
                 sealpaa_trace::read_binary(reader).map_err(CliError::analysis)
             } else {
@@ -150,8 +155,8 @@ fn profile<W: Write>(tokens: &[String], out: &mut W) -> Result<(), CliError> {
         &["input", "synth", "width", "records", "seed"],
         &["binary"],
     )?;
-    let (width, records) = load_records(&args)?;
-    let stats = TraceStats::from_records(width, &records).map_err(CliError::analysis)?;
+    let stats = profile_stats(&args)?;
+    let width = stats.width();
     writeln!(out, "trace: {} records, width {width}", stats.records())?;
     writeln!(out, "\n{:>4}  {:>10}  {:>10}", "bit", "P(a=1)", "P(b=1)")?;
     for bit in 0..width {
@@ -171,6 +176,43 @@ fn profile<W: Write>(tokens: &[String], out: &mut W) -> Result<(), CliError> {
         None => writeln!(out, "independence violation : n/a (empty trace)")?,
     }
     Ok(())
+}
+
+/// The statistics of the profiled trace. A `--input` file streams through
+/// its bounded reader straight into the counts, so memory stays bounded
+/// however many records it holds; `--synth` records are counted in memory.
+fn profile_stats(args: &ParsedArgs) -> Result<TraceStats, CliError> {
+    match (args.option("input"), args.option("synth")) {
+        (Some(path), None) => {
+            let input = open_input(path)?;
+            if args.flag("binary") {
+                let reader = BinaryReader::new(input).map_err(CliError::analysis)?;
+                stream_stats(reader.width(), reader)
+            } else {
+                let reader = NdjsonReader::new(input).map_err(CliError::analysis)?;
+                stream_stats(reader.width(), reader)
+            }
+        }
+        _ => {
+            let (width, records) = load_records(args)?;
+            TraceStats::from_records(width, &records).map_err(CliError::analysis)
+        }
+    }
+}
+
+/// Folds a reader's records into fresh statistics, stopping at its first
+/// error.
+fn stream_stats(
+    width: usize,
+    reader: impl Iterator<Item = Result<TraceRecord, TraceError>>,
+) -> Result<TraceStats, CliError> {
+    let mut stats = TraceStats::new(width).map_err(CliError::analysis)?;
+    let mut failure = None;
+    stats.extend(reader.map_while(|item| item.map_err(|e| failure = Some(e)).ok()));
+    match failure {
+        Some(e) => Err(CliError::analysis(e)),
+        None => Ok(stats),
+    }
 }
 
 /// Parses the adder chain and thread count shared by `replay` and

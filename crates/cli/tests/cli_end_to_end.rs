@@ -417,3 +417,242 @@ fn binary_trace_files_read_back_as_the_synthesized_trace() {
     assert!(stderr.contains("trace line 5001: short record"), "{stderr}");
     std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }
+
+/// Runs the binary with `input` on standard input.
+fn sealpaa_with_stdin(args: &[&str], input: &str) -> (String, String, Option<i32>) {
+    use std::io::Write as _;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sealpaa"))
+        .args(args)
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(input.as_bytes())
+        .expect("write stdin");
+    let output = child.wait_with_output().expect("binary exits");
+    (
+        String::from_utf8(output.stdout).expect("utf8 stdout"),
+        String::from_utf8(output.stderr).expect("utf8 stderr"),
+        output.status.code(),
+    )
+}
+
+#[test]
+fn trace_profile_streams_files_to_pinned_output() {
+    // One NDJSON file at a width that packs both operands into one word and
+    // one binary file at a width that does not; both record counts leave a
+    // partial 64-record block.
+    let dir = std::env::temp_dir().join(format!("sealpaa-cli-profile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let ndjson = dir.join("gauss.ndjson");
+    let binary = dir.join("image.trace");
+    let (ndjson_path, binary_path) = (
+        ndjson.to_str().expect("UTF-8 path"),
+        binary.to_str().expect("UTF-8 path"),
+    );
+    for synth in [
+        &[
+            "--kind",
+            "gaussian-sum",
+            "--width",
+            "13",
+            "--records",
+            "3000",
+            "--seed",
+            "5",
+            "--out",
+            ndjson_path,
+        ][..],
+        &[
+            "--kind",
+            "image-gradient",
+            "--width",
+            "40",
+            "--records",
+            "2500",
+            "--seed",
+            "9",
+            "--binary",
+            "--out",
+            binary_path,
+        ],
+    ] {
+        let (_, stderr, code) = sealpaa(&[&["trace", "synth"], synth].concat());
+        assert_eq!(code, Some(0), "{stderr}");
+    }
+
+    let (stdout, stderr, code) = sealpaa(&["trace", "profile", "--input", ndjson_path]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(
+        stdout,
+        concat!(
+            "trace: 3000 records, width 13\n",
+            "\n",
+            " bit      P(a=1)      P(b=1)\n",
+            "   0    0.507000    0.495333\n",
+            "   1    0.510333    0.502333\n",
+            "   2    0.510333    0.496333\n",
+            "   3    0.479333    0.501667\n",
+            "   4    0.481000    0.511333\n",
+            "   5    0.500333    0.496667\n",
+            "   6    0.494000    0.503333\n",
+            "   7    0.508000    0.501000\n",
+            "   8    0.511000    0.512667\n",
+            "   9    0.496667    0.488667\n",
+            "  10    0.502000    0.503000\n",
+            "  11    0.505667    0.497667\n",
+            "  12    0.489667    0.508333\n",
+            "P(cin=1)               : 0.000000\n",
+            "independence violation : 0.210941 (worst pair a[11] ~ a[12])\n",
+        )
+    );
+
+    let (stdout, stderr, code) = sealpaa(&["trace", "profile", "--input", binary_path, "--binary"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(
+        stdout,
+        concat!(
+            "trace: 2500 records, width 40\n",
+            "\n",
+            " bit      P(a=1)      P(b=1)\n",
+            "   0    0.508000    0.498800\n",
+            "   1    0.496800    0.504800\n",
+            "   2    0.495200    0.504400\n",
+            "   3    0.501600    0.490800\n",
+            "   4    0.523200    0.489600\n",
+            "   5    0.483600    0.518800\n",
+            "   6    0.506800    0.508000\n",
+            "   7    0.506800    0.504400\n",
+            "   8    0.493600    0.500000\n",
+            "   9    0.498000    0.483600\n",
+            "  10    0.031200    0.032000\n",
+            "  11    0.028800    0.032400\n",
+            "  12    0.027200    0.035600\n",
+            "  13    0.028400    0.032000\n",
+            "  14    0.020400    0.028000\n",
+            "  15    0.026400    0.031200\n",
+            "  16    0.026800    0.032800\n",
+            "  17    0.027200    0.034800\n",
+            "  18    0.024000    0.032400\n",
+            "  19    0.028400    0.034000\n",
+            "  20    0.026400    0.031200\n",
+            "  21    0.025600    0.029200\n",
+            "  22    0.027200    0.028800\n",
+            "  23    0.027200    0.033200\n",
+            "  24    0.026000    0.031200\n",
+            "  25    0.028000    0.031200\n",
+            "  26    0.026400    0.032800\n",
+            "  27    0.028800    0.035200\n",
+            "  28    0.029600    0.029200\n",
+            "  29    0.027200    0.030800\n",
+            "  30    0.025200    0.030400\n",
+            "  31    0.025600    0.038000\n",
+            "  32    0.023600    0.033600\n",
+            "  33    0.030400    0.036000\n",
+            "  34    0.028000    0.037200\n",
+            "  35    0.021600    0.032000\n",
+            "  36    0.028000    0.030400\n",
+            "  37    0.033600    0.033200\n",
+            "  38    0.028400    0.028800\n",
+            "  39    0.025200    0.034400\n",
+            "P(cin=1)               : 0.000000\n",
+            "independence violation : 0.021861 (worst pair b[33] ~ b[34])\n",
+        )
+    );
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+}
+
+#[test]
+fn trace_replay_output_is_pinned_at_widths_8_and_33() {
+    let (stdout, stderr, code) = sealpaa(&[
+        "trace",
+        "replay",
+        "--synth",
+        "uniform",
+        "--width",
+        "8",
+        "--records",
+        "5000",
+        "--seed",
+        "1",
+        "--cell",
+        "lpaa2",
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(
+        stdout,
+        concat!(
+            "adder: 8-bit chain [LPAA 2, LPAA 2, LPAA 2, LPAA 2, LPAA 2, LPAA 2, LPAA 2, LPAA 2]\n",
+            "records                : 5000\n",
+            "output error rate      : 0.904200 (4521 records)\n",
+            "stage error rate       : 0.904200 (4521 records)\n",
+            "E[D]   (bias)          : -1.460400\n",
+            "E[|D|] (MED)           : 59.746400\n",
+            "E[D^2] (MSE)           : 7154.222800\n",
+            "max |D|                : 253\n",
+        )
+    );
+
+    // Past 32 bits the operands no longer share a transpose word, and the
+    // error magnitudes reach bit 33.
+    let (stdout, stderr, code) = sealpaa(&[
+        "trace",
+        "replay",
+        "--synth",
+        "gaussian-sum",
+        "--width",
+        "33",
+        "--records",
+        "3000",
+        "--seed",
+        "2",
+        "--cell",
+        "lpaa6",
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(
+        stdout,
+        concat!(
+            "adder: 33-bit chain [LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6, LPAA 6]\n",
+            "records                : 3000\n",
+            "output error rate      : 1.000000 (3000 records)\n",
+            "stage error rate       : 1.000000 (3000 records)\n",
+            "E[D]   (bias)          : -4322885585.376667\n",
+            "E[|D|] (MED)           : 4322885585.376667\n",
+            "E[D^2] (MSE)           : 31973173737955270656.000000\n",
+            "max |D|                : 13029639424\n",
+        )
+    );
+}
+
+#[test]
+fn profile_daemon_response_is_pinned() {
+    // The whole response line; only the measured `micros` varies by run.
+    let request =
+        r#"{"id":7,"kind":"profile","width":12,"synth":"random-walk","records":4096,"seed":7}"#;
+    let (stdout, stderr, code) = sealpaa_with_stdin(&["serve", "--stdio"], &format!("{request}\n"));
+    assert_eq!(code, Some(0), "{stderr}");
+    let line = stdout.lines().next().expect("one response line");
+    let (head, rest) = line.split_once(r#""micros":"#).expect("a micros field");
+    let tail = rest.trim_start_matches(|c: char| c.is_ascii_digit());
+    assert_eq!(
+        format!("{head}\"micros\":0{tail}"),
+        concat!(
+            r#"{"id":7,"ok":true,"kind":"profile","cached":false,"micros":0,"#,
+            r#""result":{"source":"random-walk","width":12,"records":4096,"#,
+            r#""pa":[0.508056640625,0.499755859375,0.496826171875,0.50244140625,0.50439453125,"#,
+            r#"0.4990234375,0.506591796875,0.51220703125,0.518798828125,0.519775390625,"#,
+            r#"0.47509765625,0.467041015625],"#,
+            r#""pb":[0.508056640625,0.499755859375,0.49658203125,0.502197265625,0.50439453125,"#,
+            r#"0.498779296875,0.506591796875,0.511962890625,0.5185546875,0.51953125,"#,
+            r#"0.474853515625,0.467041015625],"#,
+            r#""cin":0,"independence_violation":0.2396363615989685,"#,
+            r#""max_violation_pair":{"x":"a[11]","y":"b[11]","score":0.2396363615989685}}}"#,
+        )
+    );
+}

@@ -270,7 +270,12 @@ fn read_bounded_line<R: BufRead>(
 ) -> Result<bool, TraceError> {
     buf.clear();
     loop {
-        let chunk = reader.fill_buf()?;
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            // Retried, as `BufRead::read_line` does: a signal is no error.
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
         if chunk.is_empty() {
             return Ok(!buf.is_empty());
         }
@@ -1201,6 +1206,170 @@ mod tests {
                 let (_, got) = read_binary(&mut rest).expect("promised records are whole");
                 assert_eq!(got, records[..promised], "{context}");
                 assert_eq!(rest, &short[14 + promised * record_bytes..], "{context}");
+            }
+        }
+    }
+
+    /// Reads an NDJSON stream through random short reads and a small
+    /// buffer, checking after every item that the reader holds no more than
+    /// `limit` bytes of a line.
+    fn read_ndjson_items(
+        stream: &[u8],
+        limit: usize,
+        rng: &mut Xoshiro256pp,
+    ) -> Result<(usize, Items), String> {
+        let hostile = HostileReader {
+            stream,
+            max: 1 + below(rng, 96),
+            fail: None,
+            rng: Xoshiro256pp::seed_from_u64(rng.next_u64()),
+        };
+        let buffered = std::io::BufReader::with_capacity(1 + below(rng, 48), hostile);
+        let limits = TraceLimits {
+            max_line_bytes: limit,
+            max_records: 1 << 32,
+        };
+        let mut reader =
+            NdjsonReader::with_limits(buffered, limits).map_err(|e| format!("{e:?}"))?;
+        let mut items = Vec::new();
+        while let Some(item) = reader.next() {
+            assert!(reader.buf.len() <= limit, "buffered past the line limit");
+            items.push(item.map_err(|e| format!("{e:?}")));
+        }
+        assert!(reader.next().is_none(), "the reader stops after an error");
+        Ok((reader.width(), items))
+    }
+
+    #[test]
+    fn ndjson_reader_yields_a_clean_prefix_then_an_error_on_hostile_input() {
+        let mut rng = Xoshiro256pp::seed_from_u64(0x4D15);
+        // Bytes that no valid trace line holds anywhere.
+        const POISON: [u8; 8] = [b'x', b'#', 0, 0xFF, b'-', b'.', b'[', b']'];
+        for case in 0..400 {
+            let width = 1 + below(&mut rng, 64);
+            let mask = width_mask(width);
+            let records: Vec<TraceRecord> = (0..below(&mut rng, 40))
+                .map(|_| {
+                    let cin = rng.next_u64() & 1 == 1;
+                    TraceRecord::new(rng.next_u64() & mask, rng.next_u64() & mask, cin)
+                })
+                .collect();
+            let mut clean = Vec::new();
+            write_ndjson(&mut clean, width, records.iter().copied()).expect("in-memory write");
+            // The longest clean line is 59 bytes, so every limit admits it.
+            let limit = 64 + below(&mut rng, 64);
+            let ok = |n: usize| records[..n].iter().copied().map(Ok).collect::<Items>();
+            let got = read_ndjson_items(&clean, limit, &mut rng);
+            assert_eq!(got, Ok((width, ok(records.len()))), "case {case}: clean");
+
+            // Byte ranges of the lines, newline excluded: the header, then
+            // record `k` at `lines[k + 1]`.
+            let mut lines = Vec::new();
+            let mut start = 0;
+            for (i, &byte) in clean.iter().enumerate() {
+                if byte == b'\n' {
+                    lines.push(start..i);
+                    start = i + 1;
+                }
+            }
+            let line_of = |at: usize| lines.iter().position(|l| at <= l.end).expect("in a line");
+            let context = format!("case {case}, width {width}, {} records", records.len());
+            // What damage to line `line` must yield: the records before it,
+            // then one error; damage to the header fails the open.
+            let check = |got: Result<(usize, Items), String>, line: usize, what: &str| {
+                if line == 0 {
+                    assert!(got.is_err(), "{context}: {what} in the header");
+                    return;
+                }
+                let (_, mut items) = got.unwrap_or_else(|e| panic!("{context}: {what}: {e}"));
+                let error = items.pop().expect("an item").expect_err(what);
+                assert_eq!(items, ok(line - 1), "{context}: {what}");
+                assert!(
+                    error.contains(&format!("line: {}", line + 1)),
+                    "{context}: {what}: {error}"
+                );
+            };
+
+            // A cut anywhere: the whole lines before it, and the cut line
+            // too if only its newline was lost; otherwise an error.
+            let cut = below(&mut rng, clean.len() + 1);
+            let got = read_ndjson_items(&clean[..cut], limit, &mut rng);
+            match lines.iter().position(|l| cut <= l.end) {
+                None => assert_eq!(got, Ok((width, ok(records.len()))), "{context}: cut {cut}"),
+                Some(line) if cut == lines[line].end || cut == lines[line].start => {
+                    let whole = if cut == lines[line].end {
+                        line + 1
+                    } else {
+                        line
+                    };
+                    if whole == 0 {
+                        assert!(got.is_err(), "{context}: cut {cut}");
+                    } else {
+                        assert_eq!(got, Ok((width, ok(whole - 1))), "{context}: cut {cut}");
+                    }
+                }
+                Some(line) => check(got, line, &format!("cut {cut}")),
+            }
+
+            // One poisoned byte (a newline joins two lines into one bad one).
+            let at = below(&mut rng, clean.len());
+            let mut bad = clean.clone();
+            bad[at] = POISON[below(&mut rng, POISON.len())];
+            check(
+                read_ndjson_items(&bad, limit, &mut rng),
+                line_of(at),
+                &format!("poison at {at}"),
+            );
+
+            if records.is_empty() {
+                continue;
+            }
+            let k = below(&mut rng, records.len());
+            let line = k + 1;
+            let splice = |replacement: &str| {
+                let mut bad = clean[..lines[line].start].to_vec();
+                bad.extend_from_slice(replacement.as_bytes());
+                bad.extend_from_slice(&clean[lines[line].end..]);
+                bad
+            };
+            let r = records[k];
+            // An over-long line, and a newline-free flood after the last one.
+            let padded = format!("{{\"a\":{},{}\"b\":{}}}", r.a, " ".repeat(limit), r.b);
+            check(
+                read_ndjson_items(&splice(&padded), limit, &mut rng),
+                line,
+                "long line",
+            );
+            let mut flood = clean.clone();
+            flood.resize(clean.len() + limit + 1 + below(&mut rng, 4096), b' ');
+            check(
+                read_ndjson_items(&flood, limit, &mut rng),
+                lines.len(),
+                "flood",
+            );
+            // Out-of-range numbers: past the width, past 64 bits, a carry-in
+            // other than 0 or 1.
+            let wide = if width < 64 {
+                format!("{}", r.a | 1 << (width + below(&mut rng, 64 - width)))
+            } else {
+                format!("{}{}", u64::MAX, below(&mut rng, 10))
+            };
+            let cin = 2 + below(&mut rng, 1000);
+            for value in [
+                format!("{{\"a\":{wide},\"b\":{}}}", r.b),
+                format!(
+                    "{{\"a\":{},\"b\":{}{}}}",
+                    r.a,
+                    u64::MAX,
+                    below(&mut rng, 10)
+                ),
+                format!("{{\"a\":{},\"b\":{},\"cin\":{cin}}}", r.a, r.b),
+            ] {
+                check(
+                    read_ndjson_items(&splice(&value), limit, &mut rng),
+                    line,
+                    &value,
+                );
             }
         }
     }

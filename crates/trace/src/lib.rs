@@ -12,7 +12,8 @@
 //!    header) plus a compact binary framing, both with bounded streaming
 //!    readers.
 //! 2. **Streaming statistics** ([`stats`]) — one pass over the trace counts
-//!    per-bit ones and pairwise co-occurrences, yielding an empirical
+//!    per-bit ones and pairwise co-occurrences by popcount over bit-planes
+//!    (the transpose replay shares), yielding an empirical
 //!    [`InputProfile`] (exact `Rational` from integer counts, or `f64`) and
 //!    an independence-violation score that measures how far the workload is
 //!    from the model's independent-bits assumption.
@@ -20,9 +21,9 @@
 //!    Gaussian-sum, random-walk ("audio-like") and sparse image-gradient
 //!    generators seeded on the in-repo xoshiro256++ PRNG.
 //! 4. **Replay** ([`replay`](mod@replay)) — ground-truth error rate, MED and
-//!    MSE of a trace through an [`AdderChain`], 64 records per pass via the
-//!    bitsliced kernels, bit-for-bit identical to the scalar oracle for
-//!    every thread count.
+//!    MSE of a trace through an [`AdderChain`], one SIMD word of records per
+//!    pass via the bitsliced kernels, settled in plane space and
+//!    bit-for-bit identical to the scalar oracle for every thread count.
 //! 5. **Fidelity** ([`fidelity`](mod@fidelity)) — the analytical estimates
 //!    under the estimated profile side by side with replay ground truth,
 //!    quantifying the independence-assumption gap per workload.
@@ -51,6 +52,7 @@
 
 pub mod fidelity;
 pub mod format;
+mod planes;
 pub mod replay;
 pub mod stats;
 pub mod synth;

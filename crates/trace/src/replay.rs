@@ -4,25 +4,34 @@
 //! workload": every trace record is evaluated through the approximate chain
 //! and the accurate reference at once, one SIMD word of records (64–512
 //! lanes, following the runtime-detected [`Backend`]) per pass, via the
-//! chain's fused `CompiledKernel::eval_diff`. Each 64-record subgroup of a
-//! batch is transposed into `u64` bit-planes with [`pack_lanes_into`] (a
-//! block-swap 64×64 bit-matrix transpose), the subgroup planes are
-//! assembled into wide words, the fused pass yields the mismatch and
-//! first-deviation words, and [`error_distances64`] extracts the signed
-//! error distance of every mismatching lane.
+//! chain's fused `CompiledKernel::eval_diff`. Each batch is settled in
+//! plane space from end to end:
 //!
-//! All accumulators are **integers** (`i128`/`u128` sums of exact per-record
-//! error distances), so the report is associative under merging: the
-//! multithreaded replay is bit-for-bit identical for every thread count
+//! 1. the crate's one records-to-planes transpose loads the batch's
+//!    operand and carry-in planes (`W::WORDS` 64×64 block-swap transposes
+//!    per operand word, at the op count of one);
+//! 2. the fused pass yields the sum planes, mismatch and first-deviation
+//!    words;
+//! 3. [`error_magnitudes`] turns the mismatching lanes' error distances
+//!    into sign and magnitude planes `m_i`;
+//! 4. per-plane signed popcounts and the pairwise `popcnt(m_i & m_j)` add
+//!    into `u64` counters.
+//!
+//! Each worker weights its counters once, at the end of its span, into the
+//! exact sums: `Σd = Σ 2^i (pos_i − neg_i)`, `Σ|d| = Σ 2^i popcnt(m_i)` and
+//! `Σd² = Σ_{i,j} 2^(i+j) popcnt(m_i & m_j)`. Every accumulator is an
+//! **integer** (`i128`/`u128`), so the report is associative under merging:
+//! the multithreaded replay is bit-for-bit identical for every thread count
 //! *and every backend*, and to the scalar per-record oracle
 //! [`replay_scalar`] — the differential suite pins this.
 
 use sealpaa_cells::{
-    biased_distance_lanes, dispatch, error_distances64, pack_lanes_into, AdderChain, Backend,
-    CompiledChain, CompiledKernel, FaInput, SimdKernel, SimdWord, TruthTable,
+    dispatch, error_magnitudes, AdderChain, Backend, CompiledChain, CompiledKernel, FaInput,
+    SimdKernel, SimdWord, TruthTable,
 };
 
 use crate::format::TraceRecord;
+use crate::planes::RecordPlanes;
 
 /// The widest chain replay supports. The binding constraint is the exact
 /// squared-error accumulator: one record contributes up to `4^(width+1)` to
@@ -171,7 +180,6 @@ fn check_width(chain: &AdderChain) -> Result<u64, ReplayError> {
 /// word type.
 struct ReplayWorker<'a> {
     compiled: &'a CompiledChain,
-    mask: u64,
     records: &'a [TraceRecord],
 }
 
@@ -180,125 +188,106 @@ impl SimdKernel for ReplayWorker<'_> {
 
     #[inline(always)]
     fn run<W: SimdWord>(self) -> ReplayReport {
-        replay_span(&self.compiled.kernel::<W>(), self.mask, self.records)
+        replay_span(&self.compiled.kernel::<W>(), self.records)
+    }
+}
+
+/// Popcounts of a span's error-magnitude planes, weighted into exact sums
+/// once, at the end of the span.
+struct MagnitudeCounts {
+    /// `positive[i]` / `negative[i]`: lanes with plane `i` set and a
+    /// positive / negative error distance.
+    positive: Vec<u64>,
+    negative: Vec<u64>,
+    /// Upper triangle, row-major: `popcnt(m_i & m_j)` for `i < j`.
+    pairs: Vec<u64>,
+}
+
+impl MagnitudeCounts {
+    fn new(planes: usize) -> MagnitudeCounts {
+        MagnitudeCounts {
+            positive: vec![0; planes],
+            negative: vec![0; planes],
+            pairs: vec![0; planes * (planes - 1) / 2],
+        }
+    }
+
+    #[inline(always)]
+    fn add<W: SimdWord>(&mut self, mag: &[W], positive: W, negative: W) {
+        let mut pairs = self.pairs.as_mut_slice();
+        for (i, &m) in mag.iter().enumerate() {
+            let (row, rest) = pairs.split_at_mut(mag.len() - 1 - i);
+            pairs = rest;
+            if !m.any() {
+                continue;
+            }
+            self.positive[i] += (m & positive).count_ones();
+            self.negative[i] += (m & negative).count_ones();
+            for (count, &n) in row.iter_mut().zip(&mag[i + 1..]) {
+                *count += (m & n).count_ones();
+            }
+        }
+    }
+
+    /// Adds the weighted sums into `report`: `d = Σ ±2^i` over a lane's
+    /// magnitude bits, so `d² = Σ_i 4^i + Σ_{i<j} 2^(i+j+1)` over pairs of
+    /// them.
+    fn weigh_into(&self, report: &mut ReplayReport) {
+        let mut pairs = self.pairs.iter();
+        for (i, (&pos, &neg)) in self.positive.iter().zip(&self.negative).enumerate() {
+            report.sum_ed += (i128::from(pos) - i128::from(neg)) << i;
+            let ones = u128::from(pos) + u128::from(neg);
+            report.sum_abs_ed += ones << i;
+            report.sum_sq_ed += ones << (2 * i);
+            for (j, &both) in (i + 1..self.positive.len()).zip(pairs.by_ref()) {
+                report.sum_sq_ed += u128::from(both) << (i + j + 1);
+            }
+        }
     }
 }
 
 /// Replays one contiguous span of records through the compiled kernel,
 /// `W::LANES` lanes at a time.
 #[inline(always)]
-fn replay_span<W: SimdWord>(
-    kernel: &CompiledKernel<W>,
-    mask: u64,
-    records: &[TraceRecord],
-) -> ReplayReport {
+fn replay_span<W: SimdWord>(kernel: &CompiledKernel<W>, records: &[TraceRecord]) -> ReplayReport {
     let width = kernel.width();
     let mut report = ReplayReport::empty(width);
+    let mut planes = RecordPlanes::<W>::new(width);
     let mut approx = vec![W::zero(); width];
     let mut exact = vec![W::zero(); width];
-    let mut a_planes = vec![W::zero(); width];
-    let mut b_planes = vec![W::zero(); width];
-    // Per-subword staging: `*_sub[s * width + i]` is bit-plane `i` of the
-    // 64-record subgroup `s`; `pack_lanes_into` fills it via a block-swap
-    // transpose and the wide planes are assembled subword by subword.
-    let mut a_sub = vec![0u64; W::WORDS * width];
-    let mut b_sub = vec![0u64; W::WORDS * width];
-    debug_assert!(W::WORDS <= 8);
-    let mut a_vals = [0u64; 64];
-    let mut b_vals = [0u64; 64];
-    let mut sub_approx = vec![0u64; width];
-    let mut sub_exact = vec![0u64; width];
-    let mut lane_dist = [W::zero(); 64];
-    let offset = (1i64 << (width + 1)) - 1;
+    let mut mag = vec![W::zero(); width + 1];
+    let mut counts = MagnitudeCounts::new(width + 1);
     for batch in records.chunks(W::LANES) {
-        let lanes = batch.len();
-        let lane_mask = W::tail_mask(lanes);
-        let mut cin_sub = [0u64; 8];
-        for (s, group) in batch.chunks(64).enumerate() {
-            for (l, r) in group.iter().enumerate() {
-                a_vals[l] = r.a & mask;
-                b_vals[l] = r.b & mask;
-                cin_sub[s] |= u64::from(r.cin) << l;
-            }
-            let planes = s * width..(s + 1) * width;
-            pack_lanes_into(&a_vals[..group.len()], &mut a_sub[planes.clone()]);
-            pack_lanes_into(&b_vals[..group.len()], &mut b_sub[planes]);
-        }
-        // Subgroups past the tail stay at their previous contents; the
-        // lane mask removes them from every count below, so only the
-        // staged planes of populated subgroups need assembling.
-        let groups = lanes.div_ceil(64);
-        for i in 0..width {
-            a_planes[i] = W::from_fn(|s| if s < groups { a_sub[s * width + i] } else { 0 });
-            b_planes[i] = W::from_fn(|s| if s < groups { b_sub[s * width + i] } else { 0 });
-        }
-        let cin_word = W::from_fn(|s| cin_sub[s]);
-        let diff = kernel.eval_diff(&a_planes, &b_planes, cin_word, &mut approx, &mut exact);
-        let mismatch = diff.mismatch & lane_mask;
-        report.records += lanes as u64;
+        planes.load(batch);
+        let diff = kernel.eval_diff(
+            planes.a(),
+            planes.b(),
+            planes.cin(),
+            &mut approx,
+            &mut exact,
+        );
+        // Lanes past the batch hold zero operands, which an approximate
+        // cell may still get wrong: mask them out of every count.
+        let lanes = W::tail_mask(batch.len());
+        let mismatch = diff.mismatch & lanes;
+        report.records += batch.len() as u64;
         report.output_errors += mismatch.count_ones();
-        report.stage_errors += (diff.deviated & lane_mask).count_ones();
+        report.stage_errors += (diff.deviated & lanes).count_ones();
         if !mismatch.any() {
             continue;
         }
-        // Dense fast path: compute every lane's biased error distance in
-        // plane space (ripple subtract + wide transpose), then accumulate
-        // without a mask — a *correct* lane's biased distance is exactly
-        // `offset`, so its `d = 0` contributes nothing to any sum. Tail
-        // batches are excluded because lanes past the span's end carry
-        // stale planes whose distances must not be counted.
-        if lanes == W::LANES && mismatch.count_ones() as usize * 4 >= W::LANES {
-            biased_distance_lanes(
-                &approx,
-                diff.approx_cout,
-                &exact,
-                diff.exact_cout,
-                &mut lane_dist,
-            );
-            for row in lane_dist.iter() {
-                let row = *row;
-                for s in 0..W::WORDS {
-                    let d = row.word(s) as i64 - offset;
-                    let abs = u128::from(d.unsigned_abs());
-                    report.sum_ed += i128::from(d);
-                    report.sum_abs_ed += abs;
-                    report.sum_sq_ed += abs * abs;
-                    report.max_abs_ed = report.max_abs_ed.max(d.unsigned_abs());
-                }
-            }
-            continue;
-        }
-        let mut ed = [0i64; 64];
-        for s in 0..W::WORDS {
-            let mm = mismatch.word(s);
-            if mm == 0 {
-                continue;
-            }
-            for i in 0..width {
-                sub_approx[i] = approx[i].word(s);
-                sub_exact[i] = exact[i].word(s);
-            }
-            error_distances64(
-                &sub_approx,
-                diff.approx_cout.word(s),
-                &sub_exact,
-                diff.exact_cout.word(s),
-                mm,
-                &mut ed,
-            );
-            let mut left = mm;
-            while left != 0 {
-                let lane = left.trailing_zeros() as usize;
-                left &= left - 1;
-                let d = ed[lane];
-                let abs = u128::from(d.unsigned_abs());
-                report.sum_ed += i128::from(d);
-                report.sum_abs_ed += abs;
-                report.sum_sq_ed += abs * abs;
-                report.max_abs_ed = report.max_abs_ed.max(d.unsigned_abs());
-            }
-        }
+        let signs = error_magnitudes(
+            &approx,
+            diff.approx_cout,
+            &exact,
+            diff.exact_cout,
+            mismatch,
+            &mut mag,
+        );
+        report.max_abs_ed = report.max_abs_ed.max(signs.max_abs_ed);
+        counts.add(&mag, signs.positive, signs.negative);
     }
+    counts.weigh_into(&mut report);
     report
 }
 
@@ -334,7 +323,7 @@ pub fn replay_with_backend(
     threads: usize,
     backend: Option<Backend>,
 ) -> Result<ReplayReport, ReplayError> {
-    let mask = check_width(chain)?;
+    check_width(chain)?;
     let backend = backend.unwrap_or_else(Backend::active);
     let compiled = CompiledChain::compile(chain);
     let batches = records.len().div_ceil(64);
@@ -350,7 +339,6 @@ pub fn replay_with_backend(
             backend,
             ReplayWorker {
                 compiled: &compiled,
-                mask,
                 records: span,
             },
         )

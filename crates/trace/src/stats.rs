@@ -14,13 +14,24 @@
 //!   noise); a persistent plateau is real correlation the analytical model
 //!   cannot see, and [`fidelity`](mod@crate::fidelity) quantifies its cost.
 //!
-//! Memory is `O(width²)` counters; a push costs `O(k²)` where `k` is the
-//! number of set bits in the record (sparse workloads profile fast).
+//! Memory is `O(width²)` counters. [`TraceStats::from_records`] and
+//! [`TraceStats::extend`] count in plane space, one SIMD word of records
+//! (64 to 512, following the active [`Backend`]) at a time: one transpose
+//! turns the batch into one bit-plane per variable, after which a
+//! variable's count grows by `popcnt(plane)` and a pair's by
+//! `popcnt(x & y)`. That is `O(width²)` word operations per 64-record block,
+//! whatever the bits hold, and the counts are integers, so every backend
+//! yields the same statistics. [`TraceStats::push`] folds one record in by
+//! visiting its `k` set bits, `O(k²)` per record, and is kept as the
+//! per-record reference the plane counts are tested against.
 
-use sealpaa_cells::InputProfile;
+use std::borrow::Borrow;
+
+use sealpaa_cells::{dispatch, Backend, InputProfile, SimdKernel, SimdWord};
 use sealpaa_num::Prob;
 
 use crate::format::{TraceError, TraceRecord};
+use crate::planes::RecordPlanes;
 
 /// One of the `2·width + 1` Bernoulli bit variables of a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,20 +86,51 @@ impl TraceStats {
         })
     }
 
-    /// Builds statistics over a record slice in one pass.
+    /// Builds statistics over a record slice in one pass, one SIMD word of
+    /// records at a time on the active [`Backend`]. Operand bits above the
+    /// width are ignored.
     ///
     /// # Errors
     ///
     /// Fails if `width` is outside `1..=64`.
     pub fn from_records(width: usize, records: &[TraceRecord]) -> Result<TraceStats, TraceError> {
         let mut stats = TraceStats::new(width)?;
-        for r in records {
-            stats.push(r);
-        }
+        stats.count(Backend::active(), records);
         Ok(stats)
     }
 
-    /// Folds one record in. Operand bits above the width are ignored.
+    /// Folds a record stream in, buffering one SIMD word of records at a
+    /// time, so memory stays bounded however long the stream runs. Operand
+    /// bits above the width are ignored.
+    pub fn extend<R: Borrow<TraceRecord>>(&mut self, records: impl IntoIterator<Item = R>) {
+        let backend = Backend::active();
+        let mut batch = Vec::with_capacity(backend.lanes());
+        for record in records {
+            batch.push(*record.borrow());
+            if batch.len() == backend.lanes() {
+                self.count(backend, &batch);
+                batch.clear();
+            }
+        }
+        self.count(backend, &batch);
+    }
+
+    /// Counts a record slice in plane space on `backend`'s word type. The
+    /// counts are integers, so every backend yields the same statistics.
+    fn count(&mut self, backend: Backend, records: &[TraceRecord]) {
+        dispatch(
+            backend,
+            PlaneCounter {
+                stats: self,
+                records,
+            },
+        );
+    }
+
+    /// Folds one record in by visiting its set bits — the per-record
+    /// reference for the block counts of [`from_records`](Self::from_records)
+    /// and [`extend`](Self::extend). Operand bits above the width are
+    /// ignored.
     pub fn push(&mut self, record: &TraceRecord) {
         let vars = 2 * self.width + 1;
         // Gather the indices of the set variables; `O(set²)` pair updates.
@@ -117,13 +159,6 @@ impl TraceStats {
             }
         }
         self.records += 1;
-    }
-
-    /// Folds a whole record stream in.
-    pub fn extend<'a>(&mut self, records: impl IntoIterator<Item = &'a TraceRecord>) {
-        for r in records {
-            self.push(r);
-        }
     }
 
     /// Operand width in bits.
@@ -252,6 +287,40 @@ impl TraceStats {
     }
 }
 
+/// Counts a record slice into a [`TraceStats`], `W::LANES` records per
+/// transpose.
+struct PlaneCounter<'a> {
+    stats: &'a mut TraceStats,
+    records: &'a [TraceRecord],
+}
+
+impl SimdKernel for PlaneCounter<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<W: SimdWord>(self) {
+        let stats = self.stats;
+        let mut planes = RecordPlanes::<W>::new(stats.width);
+        for batch in self.records.chunks(W::LANES) {
+            // Lanes past the batch are zero in every plane, so they add
+            // nothing to any count.
+            planes.load(batch);
+            let vars = planes.planes();
+            let mut pairs = stats.pair_ones.as_mut_slice();
+            for (i, &x) in vars.iter().enumerate() {
+                stats.ones[i] += x.count_ones();
+                // Row `i` of the upper triangle: the pairs (i, j), j > i.
+                let (row, rest) = pairs.split_at_mut(vars.len() - 1 - i);
+                for (count, &y) in row.iter_mut().zip(&vars[i + 1..]) {
+                    *count += (x & y).count_ones();
+                }
+                pairs = rest;
+            }
+            stats.records += batch.len() as u64;
+        }
+    }
+}
+
 fn mask(width: usize) -> u64 {
     if width == 64 {
         u64::MAX
@@ -352,6 +421,56 @@ mod tests {
             .collect();
         let stats = TraceStats::from_records(1, &records).expect("valid width");
         assert_eq!(stats.independence_violation(), 0.0);
+    }
+
+    #[test]
+    fn block_counts_equal_the_per_record_fold() {
+        use crate::synth::{generate, SynthKind};
+        use sealpaa_sim::Xoshiro256pp;
+
+        let mut rng = Xoshiro256pp::seed_from_u64(0x57A7);
+        for kind in SynthKind::ALL {
+            for width in [1usize, 8, 16, 31, 32, 33, 47, 64] {
+                for count in [0usize, 1, 63, 64, 65, 1000] {
+                    let context = format!("{kind} w{width} n{count}");
+                    // Noise above the width (which every count must ignore)
+                    // and random carry-ins.
+                    let records: Vec<TraceRecord> = generate(kind, width, count, rng.next_u64())
+                        .expect("valid")
+                        .into_iter()
+                        .map(|r| {
+                            let noise = rng.next_u64() & !mask(width);
+                            let flip = rng.next_u64();
+                            TraceRecord::new(
+                                r.a | noise,
+                                r.b | noise.rotate_left(7) & !mask(width),
+                                r.cin ^ (flip & 1 == 1),
+                            )
+                        })
+                        .collect();
+                    let mut fold = TraceStats::new(width).expect("valid width");
+                    for r in &records {
+                        fold.push(r);
+                    }
+                    assert_eq!(
+                        TraceStats::from_records(width, &records).expect("valid width"),
+                        fold,
+                        "{context}: from_records"
+                    );
+                    // Streamed in two pieces, owned and borrowed.
+                    let cut = count / 3;
+                    let mut streamed = TraceStats::new(width).expect("valid width");
+                    streamed.extend(records[..cut].iter().copied());
+                    streamed.extend(&records[cut..]);
+                    assert_eq!(streamed, fold, "{context}: extend");
+                    for backend in Backend::available() {
+                        let mut counted = TraceStats::new(width).expect("valid width");
+                        counted.count(backend, &records);
+                        assert_eq!(counted, fold, "{context}: {backend}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

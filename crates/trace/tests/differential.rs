@@ -66,9 +66,10 @@ fn replay_is_deterministic_across_thread_counts() {
 
 #[test]
 fn replay_handles_cin_and_width_edges() {
-    // Width 1 and the replay ceiling, with carry-ins exercised.
+    // Width 1, the widths around 32 (where the two operands stop sharing
+    // one transpose word) and the replay ceiling, with carry-ins exercised.
     let mut rng = SplitMix64::new(5);
-    for width in [1usize, 2, 47] {
+    for width in [1usize, 2, 31, 32, 33, 47] {
         let mask = if width == 64 {
             u64::MAX
         } else {
