@@ -2,6 +2,7 @@
 
 use std::time::Instant;
 
+use sealpaa_blocks::BlockAdder;
 use sealpaa_cells::{AdderChain, InputProfile, StandardCell};
 use sealpaa_core::{analyze, analyze_instrumented, table8_resource_model, MklMatrices};
 use sealpaa_explore::{
@@ -9,7 +10,7 @@ use sealpaa_explore::{
 };
 use sealpaa_gear::{
     error_probability as gear_error, error_probability_block_independent as gear_independent,
-    error_probability_inclexcl as gear_inclexcl, GearAdder, GearConfig,
+    error_probability_inclexcl as gear_inclexcl, GearConfig,
 };
 use sealpaa_inclexcl::cost;
 use sealpaa_num::Rational;
@@ -441,13 +442,17 @@ pub fn gear_sweep(mc_samples: u64) -> Table {
         let exact = gear_error(&config, &pa, &pa, 0.0).expect("widths match");
         let (ie, terms) = gear_inclexcl(&config, &pa, &pa, 0.0).expect("widths match");
         let indep = gear_independent(&config, &pa, &pa, 0.0).expect("widths match");
-        let adder = GearAdder::new(config);
+        let adder = BlockAdder::new(
+            config
+                .to_blocks(StandardCell::Accurate.cell())
+                .expect("16 bits fit the block model"),
+        );
         let mut rng = Xoshiro256pp::seed_from_u64(0x6EA2 + r as u64 * 31 + p as u64);
         let mut errors = 0u64;
         for _ in 0..mc_samples {
             let a: u64 = rng.next_u64() & 0xFFFF;
             let b: u64 = rng.next_u64() & 0xFFFF;
-            if !adder.matches_accurate(a, b, false) {
+            if adder.add(a, b, false).value() != adder.accurate_sum(a, b, false) {
                 errors += 1;
             }
         }
@@ -726,6 +731,27 @@ mod tests {
             let ie_val: f64 = ie.split(' ').next().expect("value").parse().expect("num");
             assert!((exact - ie_val).abs() < 1e-9, "row {row}");
         }
+    }
+
+    #[test]
+    fn gear_sweep_output_is_pinned() {
+        // Every byte: the Monte-Carlo column counts errors through the block
+        // adder over `to_blocks`, so its figures pin that model too.
+        assert_eq!(
+            gear_sweep(20_000).to_string(),
+            concat!(
+                "== GeAr sweep (N = 16, uniform inputs) ==\n",
+                "config                blocks  exact (linear DP)  incl-excl (terms)  indep. approx  Monte-Carlo\n",
+                "----------------------------------------------------------------------------------------------\n",
+                "GeAr(N=16, R=1, P=1)  15      0.887745           0.887745 (16383)   0.975551       0.886450\n",
+                "GeAr(N=16, R=2, P=0)  8       0.962747           0.962747 (127)     0.989407       0.961300\n",
+                "GeAr(N=16, R=2, P=2)  7       0.477905           0.477905 (63)      0.529635       0.475450\n",
+                "GeAr(N=16, R=2, P=4)  6       0.115540           0.115540 (31)      0.137600       0.117150\n",
+                "GeAr(N=16, R=4, P=0)  4       0.850067           0.850067 (7)       0.866636       0.852600\n",
+                "GeAr(N=16, R=4, P=4)  3       0.058594           0.058594 (3)       0.059513       0.056500\n",
+                "note: exact linear DP is the paper-style recursive analysis; incl-excl is the [12]-style baseline\n",
+            )
+        );
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! carry into the result segment; the window's own carry-in is constant 0
 //! (the external carry-in for block 0, whose window starts at bit 0).
 //!
-//! This subsumes the fixed-geometry GeAr scheme (`sealpaa-gear`): GeAr's
-//! sub-adder 0 is a depth-0 block over its full window and every later
-//! sub-adder a width-`R`, depth-`P` block — see [`BlockConfig::from_gear`].
+//! This subsumes the fixed-geometry GeAr scheme: GeAr's sub-adder 0 is a
+//! depth-0 block over its full window and every later sub-adder a
+//! width-`R`, depth-`P` block (`sealpaa-gear` builds on this crate and maps
+//! its configurations with `GearConfig::to_blocks`).
 //! It also expresses the heterogeneous configurations of Farahmand et al.
 //! (arXiv:2106.08800): per-block widths, depths *and* cells may all differ.
 
@@ -19,7 +20,6 @@ use std::fmt;
 use std::str::FromStr;
 
 use sealpaa_cells::{Cell, StandardCell, TruthTable};
-use sealpaa_gear::GearConfig;
 
 use crate::exhaustive::MAX_EXHAUSTIVE_WIDTH;
 
@@ -218,26 +218,6 @@ impl BlockConfig {
             return Err(BlockError::WidthTooLarge { width: start });
         }
         Ok(BlockConfig { blocks })
-    }
-
-    /// A GeAr configuration re-expressed as blocks, every sub-adder rippling
-    /// `cell`: sub-adder 0 becomes a depth-0 block over its full window,
-    /// every later sub-adder a width-`R` block with depth `P`.
-    ///
-    /// With an accurate `cell` this is bit-for-bit the same adder as
-    /// [`sealpaa_gear::GearAdder`] — the differential suite pins that.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the GeAr width exceeds [`MAX_BLOCKS_WIDTH`] (GeAr itself
-    /// has no width bound).
-    pub fn from_gear(gear: &GearConfig, cell: Cell) -> Self {
-        let blocks = gear
-            .block_segments()
-            .into_iter()
-            .map(|(_, width, depth)| BlockSpec::new(width, depth, cell.clone()))
-            .collect();
-        BlockConfig::new(blocks).expect("a valid GeAr layout is a valid block layout")
     }
 
     /// A homogeneous configuration: an accurate-style partition of `width`
@@ -547,20 +527,6 @@ mod tests {
         // none, so only the 4 LPAA window bits contribute.
         assert!(config.total_power_nw() > 0.0);
         assert!(config.total_area_ge() > 0.0);
-    }
-
-    #[test]
-    fn gear_mapping_matches_block_segments() {
-        let gear = GearConfig::new(8, 2, 2).expect("valid");
-        let config = BlockConfig::from_gear(&gear, acc());
-        assert_eq!(config.width(), 8);
-        assert_eq!(config.block_count(), gear.block_count());
-        for (j, &(start, width, depth)) in gear.block_segments().iter().enumerate() {
-            assert_eq!(config.result_start(j), start);
-            assert_eq!(config.blocks()[j].width, width);
-            assert_eq!(config.blocks()[j].prediction, depth);
-            assert_eq!(config.window(j), gear.block_window(j));
-        }
     }
 
     #[test]

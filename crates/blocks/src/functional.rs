@@ -120,7 +120,6 @@ mod tests {
     use super::*;
     use crate::config::BlockSpec;
     use sealpaa_cells::{AdderChain, StandardCell};
-    use sealpaa_gear::{GearAdder, GearConfig};
 
     #[test]
     fn single_accurate_block_is_an_exact_adder() {
@@ -130,30 +129,6 @@ mod tests {
             for b in 0..64 {
                 for cin in [false, true] {
                     assert_eq!(adder.add(a, b, cin).value(), adder.accurate_sum(a, b, cin));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gear_expressed_as_blocks_is_bit_identical() {
-        for (n, r, p) in [(8, 2, 2), (10, 4, 2), (9, 1, 2), (12, 3, 0)] {
-            let gear_config = GearConfig::new(n, r, p).expect("valid");
-            let gear = GearAdder::new(gear_config);
-            let blocks = BlockAdder::new(BlockConfig::from_gear(
-                &gear_config,
-                StandardCell::Accurate.cell(),
-            ));
-            for a in (0..1u64 << n).step_by(7) {
-                for b in (0..1u64 << n).step_by(5) {
-                    for cin in [false, true] {
-                        let (gear_sum, gear_carry) = gear.add(a, b, cin);
-                        assert_eq!(
-                            blocks.add(a, b, cin).value(),
-                            gear_sum | (gear_carry as u64) << n,
-                            "GeAr({n},{r},{p}) a={a} b={b} cin={cin}"
-                        );
-                    }
                 }
             }
         }

@@ -7,7 +7,9 @@
 //! own result width, its own carry-prediction depth, and its own full-adder
 //! cell (accurate or any approximate [`sealpaa_cells::Cell`]). GeAr — and
 //! therefore ACA/ETAII/truncation-style schemes — are single points of this
-//! family, recoverable via [`BlockConfig::from_gear`].
+//! family: `sealpaa-gear` builds on this crate, and its
+//! `GearConfig::to_blocks` maps every GeAr onto a [`BlockConfig`], so
+//! [`BlockAdder`] is GeAr's scalar model too.
 //!
 //! Three views of the same configuration agree bit for bit:
 //!

@@ -2,13 +2,14 @@
 //!
 //! Every test here compares [`error_distance_distribution`] in **exact
 //! `Rational` arithmetic** against a ground truth computed a completely
-//! different way — the bitsliced exhaustive sweep over all inputs, or
-//! `sealpaa-gear`'s union-of-misses DP — and demands `assert_eq!`-level
-//! agreement: identical support, identical probabilities, no tolerance.
+//! different way — the bitsliced exhaustive sweep over all inputs — and
+//! demands `assert_eq!`-level agreement: identical support, identical
+//! probabilities, no tolerance. The GeAr geometries are pinned, against
+//! `sealpaa-gear`'s union-of-misses DP too, in that crate's differential
+//! suite.
 
 use sealpaa_blocks::{error_distance_distribution, exhaustive_distance_histogram, BlockConfig};
 use sealpaa_cells::{InputProfile, StandardCell};
-use sealpaa_gear::GearConfig;
 use sealpaa_num::Rational;
 
 /// Analytical PMF under uniform inputs vs the exhaustive histogram,
@@ -78,65 +79,6 @@ fn widest_exhaustive_configs_match_exactly_in_rational() {
     ] {
         let config: BlockConfig = spec.parse().expect("parses");
         assert_matches_exhaustive(&config, spec);
-    }
-}
-
-/// A deliberately lopsided rational profile: no bit probability equals any
-/// other, nothing is dyadic, and the carry-in is biased too.
-fn skewed_profile(width: usize) -> (Vec<Rational>, Vec<Rational>, Rational) {
-    let pa: Vec<Rational> = (0..width)
-        .map(|i| Rational::from_ratio(i as i64 + 1, 2 * width as i64 + 3))
-        .collect();
-    let pb: Vec<Rational> = (0..width)
-        .map(|i| Rational::from_ratio(2 * i as i64 + 1, 3 * width as i64 + 1))
-        .collect();
-    (pa, pb, Rational::from_ratio(2, 7))
-}
-
-#[test]
-fn gear_as_blocks_error_probability_matches_gear_analysis_in_rational() {
-    // The GeAr family is one point of the block family: re-express each
-    // GeAr geometry via `from_gear` and check that the ED distribution's
-    // error-probability *marginal* reproduces `sealpaa-gear`'s dedicated
-    // union-of-misses DP — exactly, in `Rational`, under a lopsided
-    // non-uniform profile. (With accurate ripple cells every miss is a
-    // strictly negative deficit, so P(D != 0) is exactly P(any miss).)
-    let accurate = StandardCell::Accurate.cell();
-    for (n, r, p) in [
-        (8, 2, 2),
-        (8, 1, 1),
-        (12, 4, 4),
-        (12, 2, 4),
-        (16, 4, 4),
-        (20, 5, 10),
-    ] {
-        let gear = GearConfig::new(n, r, p).expect("valid GeAr geometry");
-        let config = BlockConfig::from_gear(&gear, accurate.clone());
-        assert_eq!(config.width(), n, "from_gear preserves width");
-
-        let (pa, pb, p_cin) = skewed_profile(n);
-        let profile =
-            InputProfile::new(pa.clone(), pb.clone(), p_cin.clone()).expect("valid profile");
-        let distribution =
-            error_distance_distribution(&config, &profile).expect("analytical in range");
-        let gear_p = sealpaa_gear::error_probability::<Rational>(&gear, &pa, &pb, p_cin)
-            .expect("widths match");
-        assert_eq!(
-            distribution.error_rate(),
-            gear_p,
-            "GeAr(N={n}, R={r}, P={p})"
-        );
-    }
-}
-
-#[test]
-fn gear_as_blocks_full_distribution_matches_exhaustive() {
-    // Beyond the marginal: the whole ED-PMF of a GeAr geometry agrees with
-    // brute force once routed through the block engine.
-    for (n, r, p) in [(8, 2, 2), (10, 2, 4), (11, 3, 2)] {
-        let gear = GearConfig::new(n, r, p).expect("valid GeAr geometry");
-        let config = BlockConfig::from_gear(&gear, StandardCell::Accurate.cell());
-        assert_matches_exhaustive(&config, &format!("GeAr(N={n}, R={r}, P={p})"));
     }
 }
 

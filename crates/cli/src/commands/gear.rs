@@ -2,9 +2,10 @@
 
 use std::io::Write;
 
+use sealpaa_explore::{gear_pareto_front, score_gear_configs};
 use sealpaa_gear::{
     block_error_probabilities, error_probability, error_probability_block_independent,
-    error_probability_inclexcl, pareto_front, score_configs, GearConfig,
+    error_probability_inclexcl, GearConfig,
 };
 
 use crate::args::ParsedArgs;
@@ -47,9 +48,9 @@ pub fn run<W: Write>(tokens: &[String], out: &mut W) -> Result<(), CliError> {
     let p: f64 = args.get_or("p", 0.5)?;
     let cin: f64 = args.get_or("cin", 0.0)?;
     if args.flag("pareto") {
-        let designs = score_configs(n, p).map_err(CliError::analysis)?;
+        let designs = score_gear_configs(n, p);
         let total = designs.len();
-        let front = pareto_front(designs);
+        let front = gear_pareto_front(designs);
         writeln!(
             out,
             "Pareto frontier over (error, latency, area) at p = {p}:"

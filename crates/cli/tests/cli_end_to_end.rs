@@ -108,6 +108,61 @@ fn gear_command_runs() {
 }
 
 #[test]
+fn gear_outputs_are_pinned() {
+    // Every byte of the (R, P) frontier, the per-block and baseline
+    // figures, and the emitted netlist.
+    for (args, expected) in [
+        (
+            &["gear", "--n", "16", "--pareto"][..],
+            include_str!("golden/gear_pareto_n16.txt"),
+        ),
+        (
+            &[
+                "gear",
+                "--n",
+                "16",
+                "--r",
+                "2",
+                "--overlap",
+                "2",
+                "--blocks",
+                "--baselines",
+            ][..],
+            include_str!("golden/gear_n16_r2_p2_blocks_baselines.txt"),
+        ),
+        (
+            &["verilog", "--gear", "8,2,2"][..],
+            include_str!("golden/verilog_gear_8_2_2.txt"),
+        ),
+    ] {
+        let (stdout, stderr, code) = sealpaa(args);
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+        assert_eq!(stdout, expected, "{args:?}");
+    }
+}
+
+#[test]
+fn gear_baselines_refuse_31_fallible_blocks_without_a_panic() {
+    // GeAr(32, 1, 0) has 31 fallible sub-adders: 2^31 − 1 subset terms.
+    let (stdout, stderr, code) = sealpaa(&[
+        "gear",
+        "--n",
+        "32",
+        "--r",
+        "1",
+        "--overlap",
+        "0",
+        "--baselines",
+    ]);
+    assert_eq!(code, Some(2), "{stdout}{stderr}");
+    assert!(
+        stderr.contains("inclusion-exclusion over 31 fallible sub-adders refused (at most 24)"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn sweep_command_runs() {
     let (stdout, _, code) = sealpaa(&["sweep", "--width", "4", "--cell", "lpaa5"]);
     assert_eq!(code, Some(0));

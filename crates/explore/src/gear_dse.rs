@@ -6,14 +6,13 @@
 //! carry path is `L` bits) and area (`k · L` full adders instead of `N`).
 //! With the exact linear-time error analysis, the *whole* configuration
 //! space of a width can be scored in microseconds and reduced to its Pareto
-//! frontier.
+//! frontier by the crate's one Pareto filter.
 
 use std::fmt;
 
-use sealpaa_num::Prob;
+use sealpaa_gear::{enumerate_configs, error_probability, GearConfig};
 
-use crate::analysis::{bit_cases, union_error_dp};
-use crate::config::{GearConfig, GearError};
+use crate::search::pareto_filter;
 
 /// One scored GeAr configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,6 +28,20 @@ pub struct GearDesign {
     pub full_adders: usize,
 }
 
+impl GearDesign {
+    /// Pareto dominance over (error probability, latency, area): at least
+    /// as good everywhere, strictly better somewhere.
+    fn dominates(&self, other: &GearDesign) -> bool {
+        let no_worse = self.error_probability <= other.error_probability
+            && self.latency_bits <= other.latency_bits
+            && self.full_adders <= other.full_adders;
+        let better = self.error_probability < other.error_probability
+            || self.latency_bits < other.latency_bits
+            || self.full_adders < other.full_adders;
+        no_worse && better
+    }
+}
+
 impl fmt::Display for GearDesign {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -39,76 +52,36 @@ impl fmt::Display for GearDesign {
     }
 }
 
-/// Enumerates every valid `GeAr(N, R, P)` for a width (all `R ≥ 1`,
-/// `P ≥ 0` that tile), including the exact single-block `GeAr(N, N, 0)`.
-pub fn enumerate_configs(n: usize) -> Vec<GearConfig> {
-    let mut out = Vec::new();
-    for r in 1..=n {
-        for p in 0..n {
-            if let Ok(config) = GearConfig::new(n, r, p) {
-                out.push(config);
-            }
-        }
-    }
-    out
-}
-
-/// Scores every valid configuration of width `n` at constant input-bit
-/// probability `p_input` and returns all designs (use [`pareto_front`] to
+/// Scores every [`enumerate_configs`]`(n)` configuration by
+/// [`error_probability`] with every operand bit 1 with probability `p`
+/// and carry-in 0, in enumeration order (use [`gear_pareto_front`] to
 /// filter).
-///
-/// # Errors
-///
-/// Propagates [`GearError`] from the analysis (cannot occur for the
-/// configurations this function itself enumerates; the signature allows
-/// future probability validation).
-pub fn score_configs<T: Prob>(n: usize, p_input: T) -> Result<Vec<GearDesign>, GearError> {
-    // Constant input probability ⇒ one (propagate, generate) case table
-    // serves every bit of every configuration, and the sweep reuses a
-    // single pair of DP buffers instead of reallocating per config. The DP
-    // transition itself is the shared `dp_step`, so each score equals
-    // `error_probability` for the same configuration bit for bit.
-    let cases = vec![bit_cases(&p_input, &p_input); n];
-    let mut dp = Vec::new();
-    let mut next = Vec::new();
-    let mut out = Vec::new();
-    for config in enumerate_configs(n) {
-        let err = union_error_dp(&config, &cases, T::zero(), &mut dp, &mut next);
-        out.push(GearDesign {
-            config,
-            error_probability: err.to_f64().clamp(0.0, 1.0),
-            latency_bits: config.sub_adder_length(),
-            full_adders: config.block_count() * config.sub_adder_length(),
-        });
-    }
-    Ok(out)
+pub fn score_gear_configs(n: usize, p: f64) -> Vec<GearDesign> {
+    let bits = vec![p; n];
+    enumerate_configs(n)
+        .into_iter()
+        .map(|config| {
+            let error = error_probability(&config, &bits, &bits, 0.0)
+                .expect("the probability vectors cover the configuration's width");
+            GearDesign {
+                config,
+                error_probability: error.clamp(0.0, 1.0),
+                latency_bits: config.sub_adder_length(),
+                full_adders: config.block_count() * config.sub_adder_length(),
+            }
+        })
+        .collect()
 }
 
 /// Filters designs down to the Pareto frontier over
-/// (error probability ↓, latency ↓, area ↓), sorted by ascending latency.
-pub fn pareto_front(mut designs: Vec<GearDesign>) -> Vec<GearDesign> {
-    let dominates = |a: &GearDesign, b: &GearDesign| {
-        let no_worse = a.error_probability <= b.error_probability
-            && a.latency_bits <= b.latency_bits
-            && a.full_adders <= b.full_adders;
-        let better = a.error_probability < b.error_probability
-            || a.latency_bits < b.latency_bits
-            || a.full_adders < b.full_adders;
-        no_worse && better
-    };
-    designs.sort_by(|a, b| {
-        a.latency_bits
-            .cmp(&b.latency_bits)
-            .then(a.error_probability.total_cmp(&b.error_probability))
-    });
-    let mut front: Vec<GearDesign> = Vec::new();
-    for design in designs {
-        if !front.iter().any(|kept| dominates(kept, &design)) {
-            front.retain(|kept| !dominates(&design, kept));
-            front.push(design);
-        }
-    }
-    front
+/// (error probability ↓, latency ↓, area ↓), sorted by ascending latency,
+/// then error.
+pub fn gear_pareto_front(designs: Vec<GearDesign>) -> Vec<GearDesign> {
+    pareto_filter(
+        designs,
+        |d| (d.latency_bits as f64, d.error_probability),
+        GearDesign::dominates,
+    )
 }
 
 #[cfg(test)]
@@ -116,24 +89,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn enumeration_includes_known_configs() {
-        let configs = enumerate_configs(8);
-        assert!(configs.contains(&GearConfig::new(8, 2, 2).expect("valid")));
-        assert!(configs.contains(&GearConfig::new(8, 8, 0).expect("valid")));
-        assert!(configs.contains(&GearConfig::new(8, 1, 0).expect("valid")));
-        // Everything enumerated really tiles.
-        for c in &configs {
-            assert_eq!(
-                (8 - c.sub_adder_length()) % c.result_bits(),
-                0,
-                "{c} does not tile"
-            );
-        }
-    }
-
-    #[test]
     fn scores_are_probabilities_and_exact_config_is_error_free() {
-        let designs = score_configs(8, 0.5f64).expect("valid probabilities");
+        let designs = score_gear_configs(8, 0.5);
         assert!(!designs.is_empty());
         for d in &designs {
             assert!((0.0..=1.0).contains(&d.error_probability), "{d}");
@@ -148,9 +105,9 @@ mod tests {
 
     #[test]
     fn frontier_is_mutually_non_dominated_and_spans_the_tradeoff() {
-        let designs = score_configs(16, 0.5f64).expect("valid probabilities");
+        let designs = score_gear_configs(16, 0.5);
         let total = designs.len();
-        let front = pareto_front(designs);
+        let front = gear_pareto_front(designs);
         assert!(!front.is_empty());
         // With three objectives many configurations survive; the frontier
         // must never grow, and at 16 bits some configuration is dominated
@@ -182,7 +139,7 @@ mod tests {
 
     #[test]
     fn longer_sub_adders_mean_less_error_along_fixed_r() {
-        let designs = score_configs(16, 0.5f64).expect("valid probabilities");
+        let designs = score_gear_configs(16, 0.5);
         let mut r2: Vec<&GearDesign> = designs
             .iter()
             .filter(|d| d.config.result_bits() == 2)

@@ -20,7 +20,12 @@
 //!   *block-based* adders (`sealpaa-blocks`): tile the width with blocks of
 //!   varying width/prediction-depth/cell, score each tiling by an exact
 //!   error-distance statistic, prefix-sharing the analytical recursion
-//!   across every configuration with the same leading blocks.
+//!   across every configuration with the same leading blocks,
+//! * [`score_gear_configs`] / [`gear_pareto_front`] — every GeAr (R, P)
+//!   configuration of a width (`sealpaa-gear`) scored by its exact
+//!   linear-time DP, and the error/latency/area frontier.
+//!
+//! The three frontiers share one Pareto filter.
 //!
 //! # Examples
 //!
@@ -42,6 +47,7 @@
 
 mod blocks_dse;
 mod datapath_dse;
+mod gear_dse;
 mod prefix;
 mod scorecard;
 mod search;
@@ -56,6 +62,7 @@ pub use datapath_dse::{
     best_datapath_assignment, best_datapath_assignment_reference, DatapathDesign,
     DatapathEvaluation,
 };
+pub use gear_dse::{gear_pareto_front, score_gear_configs, GearDesign};
 pub use scorecard::{score_cells, CellScore};
 pub use search::{
     accurate_cell_with_proxy_costs, enumerate_designs, evaluate, exhaustive_best,

@@ -17,23 +17,16 @@ use sealpaa_num::Prob;
 
 use crate::config::{GearConfig, GearError};
 
-/// Per-(a,b) weights of one bit position: `(probability, propagate, generate)`.
-pub(crate) fn bit_cases<T: Prob>(pa: &T, pb: &T) -> [(T, bool, bool); 4] {
-    let na = pa.complement();
-    let nb = pb.complement();
-    [
-        (na.clone() * nb.clone(), false, false), // kill
-        (na * pb.clone(), true, false),          // propagate
-        (pa.clone() * nb, true, false),          // propagate
-        (pa.clone() * pb.clone(), false, true),  // generate
-    ]
-}
+/// One bit position's `(probability, propagate, generate)` per (a, b) case.
+type BitCases<T> = [(T, bool, bool); 4];
 
-fn check_widths(
+/// The [`BitCases`] of every bit position, once both probability slices are
+/// checked to cover `N` bits.
+fn bit_cases<T: Prob>(
     config: &GearConfig,
-    pa: &[impl Sized],
-    pb: &[impl Sized],
-) -> Result<(), GearError> {
+    pa: &[T],
+    pb: &[T],
+) -> Result<Vec<BitCases<T>>, GearError> {
     for len in [pa.len(), pb.len()] {
         if len != config.width() {
             return Err(GearError::WidthMismatch {
@@ -42,90 +35,84 @@ fn check_widths(
             });
         }
     }
-    Ok(())
+    Ok(pa
+        .iter()
+        .zip(pb)
+        .map(|(pa, pb)| {
+            let na = pa.complement();
+            let nb = pb.complement();
+            [
+                (na.clone() * nb.clone(), false, false), // kill
+                (na * pb.clone(), true, false),          // propagate
+                (pa.clone() * nb, true, false),          // propagate
+                (pa.clone() * pb.clone(), false, true),  // generate
+            ]
+        })
+        .collect())
 }
 
-/// Positions (bit indices) at which each fallible block's error condition is
-/// decided: block `j ≥ 1` is checked once bits `R·j .. R·j+P−1` have been
-/// consumed.
-fn check_positions(config: &GearConfig) -> Vec<usize> {
-    (1..config.block_count())
-        .map(|j| config.result_bits() * j + config.prediction_bits())
-        .collect()
+/// A DP state and its scratch twin, each 2 × (p+1) and all zero.
+fn dp_state<T: Prob>(p: usize) -> [Vec<Vec<T>>; 2] {
+    std::array::from_fn(|_| vec![vec![T::zero(); p + 1]; 2])
 }
 
-/// Resets a DP buffer to the 2 × (p+1) all-zero state, reusing row
-/// allocations where possible.
-fn reset_rows<T: Prob>(buf: &mut Vec<Vec<T>>, p: usize) {
-    buf.resize_with(2, Vec::new);
-    for row in buf.iter_mut() {
-        row.clear();
-        row.resize_with(p + 1, T::zero);
+/// Zeroes every cell of a DP state in place.
+fn clear<T: Prob>(dp: &mut [Vec<T>]) {
+    for cell in dp.iter_mut().flatten() {
+        *cell = T::zero();
     }
 }
 
-/// Advances the joint `(carry, propagate-run)` DP across one bit position:
-/// clears `next`, then accumulates every case transition. All entry points
-/// share this step, so they apply the exact same operation order and agree
-/// bit for bit.
-fn dp_step<T: Prob>(dp: &[Vec<T>], next: &mut [Vec<T>], cases: &[(T, bool, bool); 4], p: usize) {
-    for row in next.iter_mut() {
-        for cell in row.iter_mut() {
-            *cell = T::zero();
-        }
-    }
-    for carry in 0..2usize {
-        for run in 0..=p {
-            if dp[carry][run].is_zero() {
-                continue;
-            }
-            for (weight, propagate, generate) in cases {
-                let new_carry = if *propagate {
-                    carry
-                } else {
-                    *generate as usize
-                };
-                let new_run = if *propagate { (run + 1).min(p) } else { 0 };
-                next[new_carry][new_run] =
-                    next[new_carry][new_run].clone() + dp[carry][run].clone() * weight.clone();
-            }
-        }
-    }
+/// Total mass of a DP state, summed row by row.
+fn total_mass<T: Prob>(dp: &[Vec<T>]) -> T {
+    dp.iter()
+        .flatten()
+        .fold(T::zero(), |sum, cell| sum + cell.clone())
 }
 
-/// The union-error DP over precomputed per-bit cases, writing into
-/// caller-owned buffers so a configuration sweep reuses one pair of
-/// allocations (and, at constant input probability, one case table) across
-/// every configuration.
-pub(crate) fn union_error_dp<T: Prob>(
+/// Runs the joint `(carry, propagate-run)` DP across every bit from the
+/// external carry-in, in a [`dp_state`] a caller may reuse across runs.
+/// Block `j ≥ 1`'s error is decided once bits `R·j .. R·j+P−1` have been
+/// consumed; there, `at_check(j, state)` may first read or filter the
+/// state. Every entry point runs this one loop, so they apply the exact
+/// same operation order and agree bit for bit.
+fn run_dp<'a, T: Prob>(
     config: &GearConfig,
-    cases: &[[(T, bool, bool); 4]],
+    cases: &[BitCases<T>],
     p_cin: T,
-    dp: &mut Vec<Vec<T>>,
-    next: &mut Vec<Vec<T>>,
-) -> T {
-    let p = config.prediction_bits();
-    let checks = check_positions(config);
-    reset_rows(dp, p);
-    reset_rows(next, p);
+    [dp, next]: &'a mut [Vec<Vec<T>>; 2],
+    mut at_check: impl FnMut(usize, &mut [Vec<T>]),
+) -> &'a [Vec<T>] {
+    let (r, p) = (config.result_bits(), config.prediction_bits());
+    clear(dp);
     dp[0][0] = p_cin.complement();
     dp[1][0] = p_cin;
-    for t in 0..config.width() {
-        if checks.contains(&t) {
-            // A block's overlap just completed: paths with carry 1 that
-            // propagated through all P prediction bits are erroneous.
-            dp[1][p] = T::zero();
+    for (t, cases) in cases.iter().enumerate() {
+        if t >= r + p && (t - p) % r == 0 {
+            at_check((t - p) / r, dp);
         }
-        dp_step(dp, next, &cases[t], p);
+        // Advance one bit: accumulate every case transition into `next`.
+        clear(next);
+        for carry in 0..2usize {
+            for run in 0..=p {
+                if dp[carry][run].is_zero() {
+                    continue;
+                }
+                for (weight, propagate, generate) in cases {
+                    let new_carry = if *propagate {
+                        carry
+                    } else {
+                        *generate as usize
+                    };
+                    let new_run = if *propagate { (run + 1).min(p) } else { 0 };
+                    next[new_carry][new_run] =
+                        next[new_carry][new_run].clone() + dp[carry][run].clone() * weight.clone();
+                }
+            }
+        }
         std::mem::swap(dp, next);
     }
-    let mut success = T::zero();
-    for row in dp.iter() {
-        for cell in row {
-            success = success + cell.clone();
-        }
-    }
-    success.complement()
+    dp
 }
 
 /// Exact error probability of a GeAr adder by the linear-time DP — the
@@ -156,11 +143,14 @@ pub fn error_probability<T: Prob>(
     pb: &[T],
     p_cin: T,
 ) -> Result<T, GearError> {
-    check_widths(config, pa, pb)?;
-    let cases: Vec<_> = pa.iter().zip(pb).map(|(a, b)| bit_cases(a, b)).collect();
-    let mut dp = Vec::new();
-    let mut next = Vec::new();
-    Ok(union_error_dp(config, &cases, p_cin, &mut dp, &mut next))
+    let (cases, p) = (bit_cases(config, pa, pb)?, config.prediction_bits());
+    let mut state = dp_state(p);
+    // A block's overlap just completed: paths with carry 1 that propagated
+    // through all P prediction bits are erroneous.
+    let dp = run_dp(config, &cases, p_cin, &mut state, |_, dp| {
+        dp[1][p] = T::zero()
+    });
+    Ok(total_mass(dp).complement())
 }
 
 /// Exact error probability via the traditional inclusion–exclusion
@@ -174,66 +164,42 @@ pub fn error_probability<T: Prob>(
 /// # Errors
 ///
 /// Returns [`GearError::WidthMismatch`] if the probability slices do not
-/// cover exactly `N` bits.
-///
-/// # Panics
-///
-/// Panics if the configuration has more than 24 fallible blocks (the subset
-/// expansion — the very cost this baseline demonstrates — becomes
-/// impractical).
+/// cover exactly `N` bits, and [`GearError::TooManyTerms`] past 24
+/// fallible blocks (the subset expansion — the very cost this baseline
+/// demonstrates — becomes impractical).
 pub fn error_probability_inclexcl<T: Prob>(
     config: &GearConfig,
     pa: &[T],
     pb: &[T],
     p_cin: T,
 ) -> Result<(T, u64), GearError> {
-    check_widths(config, pa, pb)?;
+    let cases = bit_cases(config, pa, pb)?;
     let fallible = config.block_count() - 1;
-    assert!(
-        fallible <= 24,
-        "inclusion-exclusion over >24 blocks refused"
-    );
-    let checks = check_positions(config);
+    if fallible > 24 {
+        return Err(GearError::TooManyTerms { fallible });
+    }
     let p = config.prediction_bits();
-    let cases: Vec<_> = pa.iter().zip(pb).map(|(a, b)| bit_cases(a, b)).collect();
-
+    let mut state = dp_state(p);
     let mut positive = T::zero();
     let mut negative = T::zero();
-    let mut terms = 0u64;
-    let mut dp = Vec::new();
-    let mut next = Vec::new();
     for subset in 1u64..1 << fallible {
         // Joint probability that *every* block in the subset errs: keep only
         // mass satisfying the error condition at each selected check point.
-        reset_rows(&mut dp, p);
-        reset_rows(&mut next, p);
-        dp[0][0] = p_cin.complement();
-        dp[1][0] = p_cin.clone();
-        for t in 0..config.width() {
-            if let Some(j) = checks.iter().position(|&c| c == t) {
-                if (subset >> j) & 1 == 1 {
-                    let keep = dp[1][p].clone();
-                    reset_rows(&mut dp, p);
-                    dp[1][p] = keep;
-                }
+        let dp = run_dp(config, &cases, p_cin.clone(), &mut state, |j, dp| {
+            if (subset >> (j - 1)) & 1 == 1 {
+                let keep = dp[1][p].clone();
+                clear(dp);
+                dp[1][p] = keep;
             }
-            dp_step(&dp, &mut next, &cases[t], p);
-            std::mem::swap(&mut dp, &mut next);
-        }
-        let mut joint = T::zero();
-        for row in &dp {
-            for cell in row {
-                joint = joint + cell.clone();
-            }
-        }
-        terms += 1;
+        });
+        let joint = total_mass(dp);
         if subset.count_ones() % 2 == 1 {
             positive = positive + joint;
         } else {
             negative = negative + joint;
         }
     }
-    Ok((positive - negative, terms))
+    Ok((positive - negative, (1 << fallible) - 1))
 }
 
 /// The cheap approximation that treats block errors as independent:
@@ -250,13 +216,9 @@ pub fn error_probability_block_independent<T: Prob>(
     pb: &[T],
     p_cin: T,
 ) -> Result<T, GearError> {
-    check_widths(config, pa, pb)?;
-    let fallible = config.block_count() - 1;
-    let mut no_error = T::one();
-    for j in 0..fallible {
-        let (single, _) = single_block_error(config, pa, pb, p_cin.clone(), j);
-        no_error = no_error * single.complement();
-    }
+    let no_error = block_error_probabilities(config, pa, pb, p_cin)?
+        .into_iter()
+        .fold(T::one(), |no_error, single| no_error * single.complement());
     Ok(no_error.complement())
 }
 
@@ -285,72 +247,26 @@ pub fn block_error_probabilities<T: Prob>(
     pb: &[T],
     p_cin: T,
 ) -> Result<Vec<T>, GearError> {
-    check_widths(config, pa, pb)?;
-    Ok((0..config.block_count() - 1)
-        .map(|j| single_block_error(config, pa, pb, p_cin.clone(), j).0)
-        .collect())
-}
-
-/// `P(E_j)` for one fallible block (0-based among blocks 1..k).
-fn single_block_error<T: Prob>(
-    config: &GearConfig,
-    pa: &[T],
-    pb: &[T],
-    p_cin: T,
-    j: usize,
-) -> (T, usize) {
-    let p = config.prediction_bits();
-    let check = check_positions(config)[j];
-    let mut dp = Vec::new();
-    let mut next = Vec::new();
-    reset_rows(&mut dp, p);
-    reset_rows(&mut next, p);
-    dp[0][0] = p_cin.complement();
-    dp[1][0] = p_cin;
-    for t in 0..check {
-        let cases = bit_cases(&pa[t], &pb[t]);
-        dp_step(&dp, &mut next, &cases, p);
-        std::mem::swap(&mut dp, &mut next);
-    }
-    (dp[1][p].clone(), check)
+    let (cases, p) = (bit_cases(config, pa, pb)?, config.prediction_bits());
+    // P(E_j): the unfiltered mass with carry 1 through all P prediction
+    // bits when block j's error is decided, every block read in one pass.
+    let mut marginals = Vec::with_capacity(config.block_count() - 1);
+    run_dp(config, &cases, p_cin, &mut dp_state(p), |_, dp| {
+        marginals.push(dp[1][p].clone())
+    });
+    Ok(marginals)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::functional::GearAdder;
     use sealpaa_num::Rational;
-
-    fn uniform_rational(n: usize) -> Vec<Rational> {
-        vec![Rational::from_ratio(1, 2); n]
-    }
 
     #[test]
     fn single_block_config_is_error_free() {
         let config = GearConfig::new(8, 8, 0).expect("valid");
         let p = error_probability::<f64>(&config, &[0.3; 8], &[0.7; 8], 0.5).expect("widths");
         assert!(p.abs() < 1e-12, "got {p}");
-    }
-
-    #[test]
-    fn matches_exhaustive_functional_count_exactly() {
-        for (n, r, p) in [(8, 2, 2), (8, 4, 0), (6, 2, 2), (9, 1, 2), (8, 2, 4)] {
-            let config = GearConfig::new(n, r, p).expect("valid");
-            let adder = GearAdder::new(config);
-            let (errors, total) = adder.exhaustive_error_count();
-            let analytical = error_probability(
-                &config,
-                &uniform_rational(n),
-                &uniform_rational(n),
-                Rational::from_ratio(1, 2),
-            )
-            .expect("widths");
-            assert_eq!(
-                analytical,
-                Rational::from_ratio(errors as i64, total as i64),
-                "GeAr(N={n}, R={r}, P={p})"
-            );
-        }
     }
 
     #[test]
@@ -367,6 +283,17 @@ mod tests {
         let (ie, terms) = error_probability_inclexcl(&config, &pa, &pb, cin).expect("widths");
         assert_eq!(linear, ie);
         assert_eq!(terms, (1 << (config.block_count() - 1)) - 1);
+    }
+
+    #[test]
+    fn inclusion_exclusion_refuses_past_24_fallible_blocks() {
+        // GeAr(32, 1, 0): 31 fallible sub-adders, 2^31 − 1 subset terms.
+        let config = GearConfig::new(32, 1, 0).expect("valid");
+        let refused = error_probability_inclexcl::<f64>(&config, &[0.5; 32], &[0.5; 32], 0.0);
+        assert_eq!(refused, Err(GearError::TooManyTerms { fallible: 31 }));
+        let message = refused.unwrap_err().to_string();
+        assert!(message.contains("31 fallible sub-adders"), "{message}");
+        assert!(message.contains("at most 24"), "{message}");
     }
 
     #[test]

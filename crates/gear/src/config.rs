@@ -1,7 +1,11 @@
-//! GeAr configuration arithmetic.
+//! GeAr configuration arithmetic, its mapping onto block adders, and the
+//! detect-and-increment correction.
 
 use std::fmt;
 use std::ops::Range;
+
+use sealpaa_blocks::{BlockConfig, BlockError, BlockSpec};
+use sealpaa_cells::Cell;
 
 /// Errors produced when constructing a [`GearConfig`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,6 +36,12 @@ pub enum GearError {
         /// Provided vector length.
         actual: usize,
     },
+    /// The inclusion–exclusion baseline expands at most 24 fallible
+    /// sub-adders (`2^24 − 1` subset terms).
+    TooManyTerms {
+        /// Fallible sub-adders `k − 1` of the configuration.
+        fallible: usize,
+    },
 }
 
 impl fmt::Display for GearError {
@@ -51,6 +61,10 @@ impl fmt::Display for GearError {
             GearError::WidthMismatch { expected, actual } => write!(
                 f,
                 "probability vector covers {actual} bits but the adder is {expected} bits wide"
+            ),
+            GearError::TooManyTerms { fallible } => write!(
+                f,
+                "inclusion-exclusion over {fallible} fallible sub-adders refused (at most 24)"
             ),
         }
     }
@@ -185,25 +199,141 @@ impl GearConfig {
         }
     }
 
-    /// The configuration as a sequence of generalized block segments:
-    /// `(result_start, result_width, prediction_depth)` per sub-adder, LSB
-    /// block first. This is the bridge to the heterogeneous block model of
-    /// `sealpaa-blocks` — sub-adder 0 becomes a depth-0 block over its full
-    /// window, every later sub-adder a width-`R` block predicting its
-    /// carry from the `P` bits below its result segment.
+    /// The configuration as a block adder (`sealpaa-blocks`), every
+    /// sub-adder rippling `cell`: sub-adder 0 becomes a depth-0 block over
+    /// its full window, every later sub-adder a width-`R` block predicting
+    /// its carry from the `P` bits below its result segment. Block `i`'s
+    /// window is [`block_window`](Self::block_window)`(i)`, so with an
+    /// accurate `cell` the block adder is this GeAr bit for bit.
     ///
-    /// The segments tile `[0, N)` exactly and each window
-    /// `[start − depth, start + width)` reproduces the sub-adder's
-    /// [`block_window`](Self::block_window).
-    pub fn block_segments(&self) -> Vec<(usize, usize, usize)> {
-        (0..self.block_count())
-            .map(|i| {
-                let result = self.block_result_bits(i);
-                let depth = if i == 0 { 0 } else { self.p };
-                (result.start, result.len(), depth)
-            })
-            .collect()
+    /// # Errors
+    ///
+    /// Returns [`BlockError::WidthTooLarge`] past
+    /// [`MAX_BLOCKS_WIDTH`](sealpaa_blocks::MAX_BLOCKS_WIDTH) bits (GeAr
+    /// itself has no width bound).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sealpaa_blocks::BlockAdder;
+    /// use sealpaa_cells::StandardCell;
+    ///
+    /// let gear = sealpaa_gear::GearConfig::new(8, 2, 2)?;
+    /// let adder = BlockAdder::new(gear.to_blocks(StandardCell::Accurate.cell())?);
+    /// assert_eq!(adder.add(77, 66, false).value(), 143); // no long carry chain
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn to_blocks(&self, cell: Cell) -> Result<BlockConfig, BlockError> {
+        BlockConfig::new(
+            (0..self.block_count())
+                .map(|i| {
+                    let depth = if i == 0 { 0 } else { self.p };
+                    BlockSpec::new(self.block_result_bits(i).len(), depth, cell.clone())
+                })
+                .collect(),
+        )
     }
+
+    /// Evaluates the adder bit-true with `rounds` passes of the
+    /// carry-mispredict error *correction* scheme the paper points to ("the
+    /// error in this LLAA model can be detected as well as corrected", its
+    /// ref.\ 11); returns `(sum_bits, carry_out)`, operands truncated to
+    /// `N` bits.
+    ///
+    /// Each sub-adder adds its window as one word (the external carry-in
+    /// feeds sub-adder 0 only). At `rounds = 0` this is plain GeAr (paper
+    /// Fig. 2) by window sums, sharing no code with the ripple model
+    /// [`sealpaa_blocks::BlockAdder`] over [`to_blocks`](Self::to_blocks):
+    /// the differential suite pins the two against each other.
+    ///
+    /// Detection per sub-adder `j ≥ 1`: the carry-out of sub-adder `j − 1`'s
+    /// window (true, once lower blocks are corrected) is compared against
+    /// the carry `j` predicted from its `P` overlap bits with carry-in 0; a
+    /// mispredict can only be low (carry is monotone in carry-in), so the
+    /// correction is `+1` into the block's result segment. Each round
+    /// settles one more block, so `rounds >= block_count() - 1` reproduces
+    /// exact addition — the accuracy-configurability trade-off of
+    /// quality-configurable LLAAs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configured width exceeds 63 bits.
+    pub fn add_with_correction(
+        &self,
+        a: u64,
+        b: u64,
+        carry_in: bool,
+        rounds: usize,
+    ) -> (u64, bool) {
+        let n = self.width();
+        assert!(n < 64, "functional evaluation supports up to 63 bits");
+        let mask = (1u64 << n) - 1;
+        let (a, b) = (a & mask, b & mask);
+        let k = self.block_count();
+        let p = self.prediction_bits();
+        let l = self.sub_adder_length();
+
+        // Initial window sums and (round-invariant) prediction carries.
+        let mut sums = Vec::with_capacity(k);
+        let mut pred_carry = Vec::with_capacity(k);
+        for j in 0..k {
+            let window = self.block_window(j);
+            let w_mask = (1u64 << l) - 1;
+            let wa = (a >> window.start) & w_mask;
+            let wb = (b >> window.start) & w_mask;
+            let cin = if j == 0 { carry_in as u64 } else { 0 };
+            sums.push(wa + wb + cin);
+            let p_mask = (1u64 << p) - 1;
+            pred_carry.push(if j == 0 || p == 0 {
+                0
+            } else {
+                ((wa & p_mask) + (wb & p_mask)) >> p
+            });
+        }
+
+        let mut corrected = vec![false; k];
+        for _ in 0..rounds {
+            for j in 1..k {
+                if corrected[j] {
+                    continue;
+                }
+                // True carry into block j's result region = carry-out of
+                // block j-1's (corrected) window.
+                let carry_from_below = (sums[j - 1] >> l) & 1;
+                if carry_from_below == 1 && pred_carry[j] == 0 {
+                    sums[j] += 1 << p;
+                    corrected[j] = true;
+                }
+            }
+        }
+
+        let mut sum = 0u64;
+        for j in 0..k {
+            let window = self.block_window(j);
+            for bit in self.block_result_bits(j) {
+                if (sums[j] >> (bit - window.start)) & 1 == 1 {
+                    sum |= 1 << bit;
+                }
+            }
+        }
+        let carry_out = (sums[k - 1] >> l) & 1 == 1;
+        (sum, carry_out)
+    }
+}
+
+/// Enumerates every valid `GeAr(N, R, P)` for a width (all `R ≥ 1`,
+/// `P ≥ 0` that tile), including the exact single-block `GeAr(N, N, 0)`,
+/// in ascending `(R, P)` order.
+pub fn enumerate_configs(n: usize) -> Vec<GearConfig> {
+    let mut out = Vec::new();
+    for r in 1..=n {
+        for p in 0..n {
+            if let Ok(config) = GearConfig::new(n, r, p) {
+                out.push(config);
+            }
+        }
+    }
+    out
 }
 
 impl fmt::Display for GearConfig {
@@ -215,6 +345,7 @@ impl fmt::Display for GearConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sealpaa_blocks::BlockAdder;
 
     #[test]
     fn paper_example_dimensions() {
@@ -278,18 +409,155 @@ mod tests {
     }
 
     #[test]
-    fn block_segments_tile_and_reproduce_windows() {
+    fn to_blocks_tiles_and_reproduces_windows() {
         for (n, r, p) in [(8, 2, 2), (16, 4, 4), (12, 3, 0), (16, 2, 6), (9, 1, 2)] {
             let g = GearConfig::new(n, r, p).expect("valid config");
-            let segments = g.block_segments();
-            assert_eq!(segments.len(), g.block_count());
-            let mut next = 0;
-            for (i, &(start, width, depth)) in segments.iter().enumerate() {
-                assert_eq!(start, next, "segments must tile in {g}");
-                assert_eq!(start - depth..start + width, g.block_window(i));
-                next = start + width;
+            let config = g.to_blocks(acc()).expect("within the blocks width");
+            assert_eq!(config.block_count(), g.block_count());
+            assert_eq!(config.width(), n, "blocks must cover the width in {g}");
+            for i in 0..g.block_count() {
+                assert_eq!(config.window(i), g.block_window(i), "{g} block {i}");
+                let result = g.block_result_bits(i);
+                assert_eq!(config.result_start(i), result.start, "{g} block {i}");
+                assert_eq!(config.blocks()[i].width, result.len(), "{g} block {i}");
             }
-            assert_eq!(next, n, "segments must cover the width in {g}");
+        }
+    }
+
+    fn acc() -> Cell {
+        sealpaa_cells::StandardCell::Accurate.cell()
+    }
+
+    /// `GeAr(n, r, p)` as an accurate-cell block adder.
+    fn gear_adder(n: usize, r: usize, p: usize) -> BlockAdder {
+        let config = GearConfig::new(n, r, p).expect("valid config");
+        BlockAdder::new(config.to_blocks(acc()).expect("within the blocks width"))
+    }
+
+    fn matches_accurate(adder: &BlockAdder, a: u64, b: u64, cin: bool) -> bool {
+        adder.add(a, b, cin).value() == adder.accurate_sum(a, b, cin)
+    }
+
+    #[test]
+    fn single_block_is_exact() {
+        let adder = gear_adder(8, 8, 0);
+        for (a, b, cin) in [(0u64, 0u64, false), (255, 255, true), (123, 45, false)] {
+            assert!(matches_accurate(&adder, a, b, cin), "{a}+{b}+{cin}");
+        }
+    }
+
+    #[test]
+    fn known_failure_long_carry_chain() {
+        // 0b00001111 + 0b00000001: the carry generated at bit 0 must travel
+        // to bit 4; block 1 of GeAr(8,2,2) (window 2..6) sees propagate bits
+        // at 2,3 and a real carry → it errs.
+        let adder = gear_adder(8, 2, 2);
+        assert!(!matches_accurate(&adder, 0b0000_1111, 0b0000_0001, false));
+        assert_ne!(adder.add(0b0000_1111, 0b0000_0001, false).sum_bits(), 16);
+    }
+
+    #[test]
+    fn carry_absorbed_by_generate_bit_is_fine() {
+        // a=0b0011, b=0b0001 in GeAr(8,2,2): carry from bit 0 dies at bit 1
+        // (generate), never reaching block 1's result bits.
+        let adder = gear_adder(8, 2, 2);
+        assert!(matches_accurate(&adder, 0b0011, 0b0001, false));
+    }
+
+    #[test]
+    fn external_carry_in_feeds_block_zero() {
+        let adder = gear_adder(8, 2, 2);
+        assert!(matches_accurate(&adder, 0, 0, true));
+        let r = adder.add(0, 0, true);
+        assert_eq!((r.sum_bits(), r.carry_out()), (1, false));
+    }
+
+    #[test]
+    fn carry_out_comes_from_top_block() {
+        let adder = gear_adder(8, 2, 2);
+        let r = adder.add(0xFF, 0xFF, false);
+        // 255 + 255 = 510: all blocks see generate-heavy inputs; exact.
+        assert_eq!(r.sum_bits(), 510 & 0xFF);
+        assert!(r.carry_out());
+        assert!(matches_accurate(&adder, 0xFF, 0xFF, false));
+    }
+
+    #[test]
+    fn p_zero_partition_errs_on_any_crossing_carry() {
+        let adder = gear_adder(4, 2, 0);
+        // 0b0010 + 0b0010 = 0b0100 carries across the block boundary at bit 2.
+        assert!(!matches_accurate(&adder, 0b0010, 0b0010, false));
+    }
+
+    #[test]
+    fn full_correction_is_exact_exhaustively() {
+        for (n, r, p) in [(8, 2, 2), (8, 2, 0), (6, 1, 1), (9, 3, 3)] {
+            let g = GearConfig::new(n, r, p).expect("valid config");
+            let rounds = g.block_count() - 1;
+            for a in 0..1u64 << n {
+                for b in 0..1u64 << n {
+                    for cin in [false, true] {
+                        let (sum, carry) = g.add_with_correction(a, b, cin, rounds);
+                        let total = a + b + cin as u64;
+                        let mask = (1u64 << n) - 1;
+                        assert_eq!(sum, total & mask, "GeAr({n},{r},{p}): {a}+{b}+{cin}");
+                        assert_eq!(carry, total >> n != 0, "GeAr({n},{r},{p}): {a}+{b}+{cin}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn correction_rounds_monotonically_reduce_errors() {
+        let g = GearConfig::new(10, 1, 1).expect("valid config"); // 10 blocks: plenty of room to improve
+        let mut last_errors = u64::MAX;
+        for rounds in 0..g.block_count() {
+            let mut errors = 0u64;
+            for a in 0..1u64 << 10 {
+                let b = a.wrapping_mul(2654435761) & 0x3FF; // deterministic spread
+                let (sum, carry) = g.add_with_correction(a, b, false, rounds);
+                let total = a + b;
+                if sum != (total & 0x3FF) || carry != (total >> 10 != 0) {
+                    errors += 1;
+                }
+            }
+            assert!(
+                errors <= last_errors,
+                "rounds={rounds}: {errors} > {last_errors}"
+            );
+            last_errors = errors;
+        }
+        assert_eq!(last_errors, 0, "full correction must be exact");
+    }
+
+    #[test]
+    fn single_correction_fixes_single_block_failures() {
+        // 0b00001111 + 1 defeats GeAr(8,2,2) (carry must travel past P=2),
+        // but exactly one block mispredicts, so one round fixes it.
+        let g = GearConfig::new(8, 2, 2).expect("valid config");
+        assert!(!matches_accurate(
+            &gear_adder(8, 2, 2),
+            0b0000_1111,
+            1,
+            false
+        ));
+        assert_eq!(g.add_with_correction(0b0000_1111, 1, false, 1), (16, false));
+    }
+
+    #[test]
+    fn enumeration_includes_known_configs() {
+        let configs = enumerate_configs(8);
+        assert!(configs.contains(&GearConfig::new(8, 2, 2).expect("valid")));
+        assert!(configs.contains(&GearConfig::new(8, 8, 0).expect("valid")));
+        assert!(configs.contains(&GearConfig::new(8, 1, 0).expect("valid")));
+        // Everything enumerated really tiles.
+        for c in &configs {
+            assert_eq!(
+                (8 - c.sub_adder_length()) % c.result_bits(),
+                0,
+                "{c} does not tile"
+            );
         }
     }
 

@@ -23,8 +23,10 @@
 //!   ignores inter-block correlation, to quantify how much the exact
 //!   treatment matters.
 //!
-//! Plus a bit-true functional model ([`GearAdder`]) for simulation-based
-//! validation.
+//! A GeAr is one block adder: [`GearConfig::to_blocks`] maps it onto
+//! `sealpaa-blocks`, whose `BlockAdder` is the bit-true model;
+//! [`GearConfig::add_with_correction`] adds the paper's detect-and-increment
+//! correction. The (R, P) sweep and its Pareto frontier are in `sealpaa-explore`.
 //!
 //! # Examples
 //!
@@ -47,13 +49,9 @@
 
 mod analysis;
 mod config;
-mod functional;
-mod pareto;
 
 pub use analysis::{
     block_error_probabilities, error_probability, error_probability_block_independent,
     error_probability_inclexcl,
 };
-pub use config::{GearConfig, GearError};
-pub use functional::GearAdder;
-pub use pareto::{enumerate_configs, pareto_front, score_configs, GearDesign};
+pub use config::{enumerate_configs, GearConfig, GearError};

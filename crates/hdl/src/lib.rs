@@ -9,7 +9,7 @@
 //! Trustworthiness without an external simulator: the emitted text is
 //! generated from a [`Netlist`] that this crate can also *evaluate in Rust*
 //! — the tests prove, exhaustively and by property, that the netlist
-//! computes exactly what the truth tables / `AdderChain` / `GearAdder`
+//! computes exactly what the truth tables / `AdderChain` / `BlockAdder`
 //! models compute, so the Verilog (a direct rendering of the same netlist)
 //! carries the same behaviour modulo syntax.
 //!

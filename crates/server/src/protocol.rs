@@ -698,8 +698,12 @@ impl GearSpec {
                 .map(|v| v as usize)
                 .ok_or_else(|| format!("\"{key}\" (a non-negative integer) is required"))
         };
+        let n = int("n")?;
+        if n == 0 || n > 64 {
+            return Err("\"n\" must be 1..=64".to_owned());
+        }
         Ok(GearSpec {
-            n: int("n")?,
+            n,
             r: int("r")?,
             overlap: int("overlap")?,
             p: prob_field(doc, "p")?.unwrap_or(0.5),
@@ -1345,6 +1349,14 @@ mod tests {
                 "unknown mode",
             ),
             (r#"{"kind":"gear","n":8}"#, "\"r\""),
+            (
+                r#"{"kind":"gear","n":0,"r":1,"overlap":0}"#,
+                "\"n\" must be 1..=64",
+            ),
+            (
+                r#"{"kind":"gear","n":65,"r":1,"overlap":0}"#,
+                "\"n\" must be 1..=64",
+            ),
             (r#"{"kind":"blocks"}"#, "\"config\""),
             (r#"{"kind":"blocks","config":"4:9:accurate"}"#, "\"config\""),
             (

@@ -2006,6 +2006,34 @@ mod tests {
     }
 
     #[test]
+    fn a_gear_width_past_64_bits_is_refused_and_the_daemon_keeps_serving() {
+        // Unbounded, n = 2^40 would size an 8 TiB allocation and abort the
+        // process before the stats line after it is answered.
+        let responses = run_lines(
+            &ServerConfig {
+                threads: 1,
+                ..Default::default()
+            },
+            "{\"id\":1,\"kind\":\"gear\",\"n\":1099511627776,\"r\":1,\"overlap\":0}\n\
+             {\"id\":2,\"kind\":\"stats\"}\n",
+        );
+        assert_eq!(responses.len(), 2);
+        assert_eq!(responses[0].get("id").and_then(Json::as_u64), Some(1));
+        assert_eq!(responses[0].get("ok").and_then(Json::as_bool), Some(false));
+        let message = responses[0]
+            .get("error")
+            .and_then(Json::as_str)
+            .expect("message");
+        assert!(message.contains("\"n\" must be 1..=64"), "{message}");
+        assert_eq!(responses[1].get("id").and_then(Json::as_u64), Some(2));
+        assert_eq!(responses[1].get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(
+            responses[1].get("kind").and_then(Json::as_str),
+            Some("stats")
+        );
+    }
+
+    #[test]
     fn invalid_utf8_gets_a_parse_error_response_before_the_close() {
         let mut input: Vec<u8> = Vec::new();
         input.extend_from_slice(b"\"\xff\xfe garbage\n");

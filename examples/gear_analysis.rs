@@ -4,7 +4,9 @@
 //!
 //! Run with: `cargo run --release --example gear_analysis`
 
-use sealpaa::gear::{error_probability, GearAdder, GearConfig};
+use sealpaa::blocks::BlockAdder;
+use sealpaa::gear::{error_probability, GearConfig};
+use sealpaa::StandardCell;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 16;
@@ -30,18 +32,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The carry-chain intuition, concretely: GeAr(16,2,2) fails exactly when
     // a carry must cross more than P=2 propagate positions.
-    let adder = GearAdder::new(GearConfig::new(16, 2, 2)?);
-    println!("\nconcrete failure of {}:", adder.config());
+    let config = GearConfig::new(16, 2, 2)?;
+    let adder = BlockAdder::new(config.to_blocks(StandardCell::Accurate.cell())?);
+    println!("\nconcrete failure of {config}:");
     let (a, b) = (0x00FF, 0x0001); // long carry chain from bit 0
-    let (sum, carry) = adder.add(a, b, false);
+    let result = adder.add(a, b, false);
     println!(
-        "  {a:#06x} + {b:#06x} = {:#06x} (exact {:#06x}, carry {carry})",
-        sum,
-        a + b
+        "  {a:#06x} + {b:#06x} = {:#06x} (exact {:#06x}, carry {})",
+        result.sum_bits(),
+        a + b,
+        result.carry_out()
     );
     println!(
         "  matches accurate: {}",
-        adder.matches_accurate(a, b, false)
+        result.value() == adder.accurate_sum(a, b, false)
     );
     Ok(())
 }

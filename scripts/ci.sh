@@ -75,13 +75,16 @@ run cargo test -p sealpaa-sim --test differential -q
 # reproduces the scalar oracle byte-identically, not just the widest one
 # runtime detection happens to pick. `sealpaa simd` lists what the host
 # has; forcing an unavailable backend is a hard error, so the loop asks
-# the binary itself which names to run.
+# the binary itself which names to run. The GeAr suite rides along: its
+# exhaustive histograms of GeAr-as-blocks run on the forced backend.
 for backend in $(cargo run -q -p sealpaa-cli --bin sealpaa -- simd --json |
     sed -n 's/.*"available_names":\[\([^]]*\)\].*/\1/p' | tr -d '"' | tr ',' ' '); do
     run env SEALPAA_SIMD="$backend" \
         cargo test -p sealpaa-sim --test differential -q
     run env SEALPAA_SIMD="$backend" \
         cargo test -p sealpaa-trace --test differential -q
+    run env SEALPAA_SIMD="$backend" \
+        cargo test -p sealpaa-gear --test differential -q
 done
 
 # The incremental-analysis differential suite: prefix stepper vs fresh
@@ -102,8 +105,9 @@ run cargo test -p sealpaa-trace --test differential -q
 run cargo test -p sealpaa-trace --test fidelity -q
 
 # The block-adder differential suite: the analytical error-distance engine
-# vs exhaustive enumeration (exactly, in Rational, for every library cell)
-# and GeAr-as-blocks vs the gear crate's independent DP.
+# vs exhaustive enumeration (exactly, in Rational, for every library cell,
+# heterogeneous and width-1-block geometries). GeAr-as-blocks is pinned by
+# the gear suite in the SIMD loop above.
 run cargo test -p sealpaa-blocks --test differential -q
 
 # The error-propagation suites: exact-Rational vs f64 consistency of the

@@ -9,10 +9,10 @@
 //! regenerates the identical inputs.
 
 use sealpaa::analysis::{analyze, exact_error_analysis, signal_probabilities};
+use sealpaa::blocks::exhaustive_distance_histogram;
 use sealpaa::cells::{AdderChain, Cell, InputProfile, StandardCell};
 use sealpaa::gear::{
-    error_probability as gear_error, error_probability_inclexcl as gear_inclexcl, GearAdder,
-    GearConfig,
+    error_probability as gear_error, error_probability_inclexcl as gear_inclexcl, GearConfig,
 };
 use sealpaa::inclexcl::error_probability as inclexcl_error;
 use sealpaa::num::Rational;
@@ -232,22 +232,17 @@ fn gear_three_way_agreement() {
         done += 1;
         let config = GearConfig::new(n, r, p).expect("constructed to tile");
         let pa = vec![Rational::from_ratio(1, 2); n];
-        let cin = Rational::zero();
+        // A uniform carry-in: the exhaustive count covers both carry-ins.
+        let cin = Rational::from_ratio(1, 2);
         let linear = gear_error(&config, &pa, &pa, cin.clone()).expect("widths match");
         let (ie, _) = gear_inclexcl(&config, &pa, &pa, cin).expect("widths match");
         assert_eq!(&linear, &ie, "GeAr({n},{r},{p})");
-        let adder = GearAdder::new(config);
-        // Count errors over cin = 0 only (the analytical cin is fixed to 0).
-        let mut errors = 0u64;
-        let mut total = 0u64;
-        for a in 0..1u64 << n {
-            for b in 0..1u64 << n {
-                total += 1;
-                if !adder.matches_accurate(a, b, false) {
-                    errors += 1;
-                }
-            }
-        }
+        let blocks = config
+            .to_blocks(StandardCell::Accurate.cell())
+            .expect("at most 9 bits");
+        let report = exhaustive_distance_histogram(&blocks).expect("at most 9 bits");
+        let total = report.cases();
+        let errors = total - report.histogram.get(&0).copied().unwrap_or(0);
         assert_eq!(
             linear,
             Rational::from_ratio(errors as i64, total as i64),
