@@ -4,12 +4,17 @@
 //!
 //! Three groups:
 //!
-//! * `dse` — the full `C^N` hybrid search at `N = 8` over all 8 standard
-//!   cells (16.7M designs) through the pre-PR reference scan (a fresh O(N)
-//!   analysis per design) and through the prefix-sharing DFS (one stage
-//!   step per tree edge, `Σ C^i ≈ 1.14` steps per design), single- and
-//!   multi-threaded. Both return the identical best design — the
-//!   differential suite in `crates/core/tests/incremental.rs` pins that.
+//! * `dse` — the best hybrid design at `N = 8` over all 8 standard cells
+//!   (16.8M designs), unconstrained and under a power cap of half the
+//!   all-accurate chain's (`_cap50`), through the reference scan (a fresh
+//!   O(N) analysis per design) and through the prefix-sharing
+//!   branch-and-bound search, on one thread (`_t1`) and on every thread the
+//!   host offers (`_tN`, `N` = `available_parallelism`). Both return the
+//!   identical best design — the differential suites in
+//!   `crates/core/tests/incremental.rs` and
+//!   `crates/explore/tests/differential.rs` pin that. The unconstrained
+//!   search is now the trivial case: once the all-accurate chain is found,
+//!   it bounds away nearly every other prefix (288 visited nodes).
 //! * `width_sweep` — the Fig. 5 exercise (error probability at every width
 //!   `1..=16`): a fresh analysis per width (`Θ(N²)` stage steps) vs one
 //!   analysis of the widest chain read back through `prefix_success`
@@ -21,9 +26,11 @@
 //!
 //! Unless `MICROBENCH_QUICK` is set (smoke mode), the run rewrites
 //! `BENCH_analysis.json` at the repository root with ns/op for every
-//! benchmark and the speedups over each naive baseline. Smoke mode also
-//! shrinks the DSE workload to `N = 6` so CI stays fast; the committed
-//! JSON always records the full `N = 8` workload.
+//! benchmark, the speedups over each naive baseline, the host block, and
+//! the acceptance bars, each with its value and whether it passed; if a bar
+//! fails, the run exits non-zero after writing the file. Smoke mode also
+//! shrinks the DSE workload to `N = 6` (both rows) so CI stays fast; the
+//! committed JSON always records the full `N = 8` workload.
 
 use std::fmt::Write as _;
 use std::ops::{Add, Mul, Sub};
@@ -36,12 +43,14 @@ use sealpaa_core::analyze;
 use sealpaa_explore::{exhaustive_best_reference, exhaustive_best_with, Budget};
 use sealpaa_num::{Prob, Rational};
 
+/// Power of the accurate cell (`accurate_cell_with_proxy_costs`), nW.
+const ACCURATE_POWER_NW: f64 = 1080.0;
+
 /// All eight standard cells, each carrying power/area characteristics so
 /// the budgeted search accepts them. The paper's Table 2 characterises only
 /// LPAA 1–5; the accurate cell reuses the DESIGN.md estimate and LPAA 6/7
 /// (which Table 2 does not cover) get rough transistor-count
-/// extrapolations. The figures only label the workload — the benchmark
-/// runs unconstrained, so they never affect the search.
+/// extrapolations. The figures decide only the `_cap50` rows' answers.
 fn all_eight_candidates() -> Vec<Cell> {
     let mut cells: Vec<Cell> = [
         StandardCell::Lpaa1,
@@ -75,11 +84,47 @@ fn dse_width() -> usize {
     }
 }
 
+/// The threads of the multi-threaded DSE rows: all the host offers.
+fn parallel_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// The thread counts DSE rows are recorded at: one, and all.
+fn thread_counts() -> Vec<usize> {
+    let mut counts = vec![1, parallel_threads()];
+    counts.dedup();
+    counts
+}
+
+/// The two DSE workloads: `(row label, description, budget)`.
+fn dse_workloads() -> [(String, String, Budget); 2] {
+    let width = dse_width();
+    let designs = 8f64.powi(width as i32) / 1e6;
+    let cap = 0.5 * ACCURATE_POWER_NW * width as f64;
+    [
+        (
+            format!("best_w{width}_c8"),
+            format!("best design, w{width} over all 8 cells ({designs:.1}M designs)"),
+            Budget::default(),
+        ),
+        (
+            format!("best_w{width}_c8_cap50"),
+            format!(
+                "best design, w{width} over all 8 cells ({designs:.1}M designs), \
+                 power cap {cap:.0} nW (half the all-accurate chain)"
+            ),
+            Budget {
+                max_power_nw: Some(cap),
+                max_area_ge: None,
+            },
+        ),
+    ]
+}
+
 fn bench_dse(c: &mut Criterion) {
     let width = dse_width();
     let candidates = all_eight_candidates();
     let profile = InputProfile::<f64>::constant(width, 0.3);
-    let budget = Budget::default();
     let designs = (candidates.len() as u64).pow(width as u32);
 
     let mut group = c.benchmark_group("dse");
@@ -88,28 +133,29 @@ fn bench_dse(c: &mut Criterion) {
     // a one-off outlier.
     group.sample_size(3);
     group.throughput(Throughput::Elements(designs));
-    let label = format!("best_w{width}_c8");
-    group.bench_function(BenchmarkId::new(label.clone(), "naive"), |b| {
-        b.iter(|| {
-            exhaustive_best_reference(black_box(&candidates), black_box(&profile), &budget)
-                .expect("valid")
-        })
-    });
-    for threads in [1usize, 4] {
-        group.bench_function(
-            BenchmarkId::new(label.clone(), format!("stepper_t{threads}")),
-            |b| {
-                b.iter(|| {
-                    exhaustive_best_with(
-                        black_box(&candidates),
-                        black_box(&profile),
-                        &budget,
-                        threads,
-                    )
+    for (label, _, budget) in dse_workloads() {
+        group.bench_function(BenchmarkId::new(label.clone(), "naive"), |b| {
+            b.iter(|| {
+                exhaustive_best_reference(black_box(&candidates), black_box(&profile), &budget)
                     .expect("valid")
-                })
-            },
-        );
+            })
+        });
+        for threads in thread_counts() {
+            group.bench_function(
+                BenchmarkId::new(label.clone(), format!("stepper_t{threads}")),
+                |b| {
+                    b.iter(|| {
+                        exhaustive_best_with(
+                            black_box(&candidates),
+                            black_box(&profile),
+                            &budget,
+                            threads,
+                        )
+                        .expect("valid")
+                    })
+                },
+            );
+        }
     }
     group.finish();
 }
@@ -282,28 +328,33 @@ fn ns_of(results: &[BenchResult], name: &str) -> f64 {
         .ns_per_iter
 }
 
-fn render_report(results: &[BenchResult]) -> String {
-    let mut benches = String::new();
-    for (i, r) in results.iter().enumerate() {
-        let sep = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(
-            benches,
-            "    {{\"name\": \"{}\", \"ns_per_iter\": {:.1}}}{sep}",
-            r.name, r.ns_per_iter
-        );
-    }
+/// One acceptance bar: a measured speedup against its threshold.
+struct Bar {
+    name: String,
+    value: f64,
+    threshold: f64,
+}
 
-    let speedup_pairs = [
-        (
-            "exhaustive best, w8 over all 8 cells (16.7M designs), 1 thread",
-            "dse/best_w8_c8/naive",
-            "dse/best_w8_c8/stepper_t1",
-        ),
-        (
-            "exhaustive best, w8 over all 8 cells (16.7M designs), 4 threads",
-            "dse/best_w8_c8/naive",
-            "dse/best_w8_c8/stepper_t4",
-        ),
+impl Bar {
+    fn passed(&self) -> bool {
+        self.value >= self.threshold
+    }
+}
+
+/// `(workload, baseline row, fast row)` for every speedup the file records.
+fn speedup_pairs() -> Vec<(String, String, String)> {
+    let mut pairs = Vec::new();
+    for (label, workload, _) in dse_workloads() {
+        for threads in thread_counts() {
+            let unit = if threads == 1 { "thread" } else { "threads" };
+            pairs.push((
+                format!("{workload}, {threads} {unit}"),
+                format!("dse/{label}/naive"),
+                format!("dse/{label}/stepper_t{threads}"),
+            ));
+        }
+    }
+    for (workload, baseline, fast) in [
         (
             "Fig. 5 width sweep, lpaa1 widths 1..=16",
             "width_sweep/lpaa1_w16/naive",
@@ -319,12 +370,52 @@ fn render_report(results: &[BenchResult]) -> String {
             "rational/lpaa3_w8_p0.3/slowpath",
             "rational/lpaa3_w8_p0.3/fastpath",
         ),
-    ];
+    ] {
+        pairs.push((workload.to_owned(), baseline.to_owned(), fast.to_owned()));
+    }
+    pairs
+}
+
+/// The bars the committed file must pass: every DSE stepper row at least
+/// 5x its naive scan, and both rational fast paths at least 3x the slow
+/// path.
+fn acceptance_bars(results: &[BenchResult]) -> Vec<Bar> {
+    speedup_pairs()
+        .into_iter()
+        .filter_map(|(_, baseline, fast)| {
+            let threshold = if fast.starts_with("dse/") {
+                5.0
+            } else if fast.starts_with("rational/") {
+                3.0
+            } else {
+                return None;
+            };
+            Some(Bar {
+                name: format!("{fast} >= {threshold:.0}x {baseline}"),
+                value: ns_of(results, &baseline) / ns_of(results, &fast),
+                threshold,
+            })
+        })
+        .collect()
+}
+
+fn render_report(results: &[BenchResult], bars: &[Bar]) -> String {
+    let mut benches = String::new();
+    for (i, r) in results.iter().enumerate() {
+        let sep = if i + 1 < results.len() { "," } else { "" };
+        let _ = writeln!(
+            benches,
+            "    {{\"name\": \"{}\", \"ns_per_iter\": {:.1}}}{sep}",
+            r.name, r.ns_per_iter
+        );
+    }
+
+    let pairs = speedup_pairs();
     let mut speedups = String::new();
-    for (i, (workload, baseline, fast)) in speedup_pairs.iter().enumerate() {
+    for (i, (workload, baseline, fast)) in pairs.iter().enumerate() {
         let base_ns = ns_of(results, baseline);
         let fast_ns = ns_of(results, fast);
-        let sep = if i + 1 < speedup_pairs.len() { "," } else { "" };
+        let sep = if i + 1 < pairs.len() { "," } else { "" };
         let _ = writeln!(
             speedups,
             "    {{\"workload\": \"{workload}\", \"baseline\": \"{baseline}\", \
@@ -334,18 +425,40 @@ fn render_report(results: &[BenchResult]) -> String {
         );
     }
 
+    let mut acceptance = String::new();
+    for (i, bar) in bars.iter().enumerate() {
+        let sep = if i + 1 < bars.len() { "," } else { "" };
+        let _ = writeln!(
+            acceptance,
+            "    {{\"bar\": \"{}\", \"value\": {:.2}, \"threshold\": {:.1}, \"pass\": {}}}{sep}",
+            bar.name,
+            bar.value,
+            bar.threshold,
+            bar.passed()
+        );
+    }
+
     let host = sealpaa_bench::host::host_block();
     format!(
         "{{\n  \"generator\": \"cargo bench -p sealpaa-bench --bench analysis_kernels\",\n  \
          \"host\": {host},\n  \
          \"unit\": \"ns_per_iter is the median wall-clock time of one full workload\",\n  \
-         \"note\": \"the dse baseline re-runs a fresh O(N) analysis per design (the pre-PR \
-         scan); the stepper rows walk the prefix-sharing DFS, which pays one stage step per \
-         tree edge and merges in lexicographic design order, so its result is byte-identical \
-         to the baseline for every thread count. The rational baseline routes every ring \
-         operation through the retained big-integer slowpath, isolating the single-limb/u128 \
-         fast-path gain. Acceptance: dse stepper >= 5x naive, rational fastpath >= 3x \
-         slowpath\",\n  \"benches\": [\n{benches}  ],\n  \"speedups\": [\n{speedups}  ]\n}}\n"
+         \"note\": \"the dse baseline re-runs a fresh O(N) analysis per design and visits \
+         every design; the stepper rows walk the prefix-sharing branch-and-bound search, \
+         which pays one stage step per visited tree edge and skips every prefix whose error \
+         probability, less a proven f64 rounding margin, is strictly above the best leaf any \
+         worker has found. Its result is byte-identical to the baseline for every thread \
+         count. The _tN rows run on all available_parallelism threads of the host block. \
+         The unconstrained rows are now the trivial case: once the all-accurate chain is \
+         found it bounds away nearly every prefix, so a one-thread search visits 288 nodes \
+         in this cell order (64 with the accurate cell first). The _cap50 rows, capped at \
+         half the all-accurate chain's power, are the search's real workload: 7,106 nodes \
+         on one thread. The rational \
+         baseline routes every ring operation through the retained big-integer slowpath, \
+         isolating the single-limb/u128 fast-path gain. The acceptance section evaluates \
+         the bars: every dse stepper row >= 5x its naive scan, rational fastpath >= 3x \
+         slowpath\",\n  \"benches\": [\n{benches}  ],\n  \"speedups\": [\n{speedups}  ],\n  \
+         \"acceptance\": [\n{acceptance}  ]\n}}\n"
     )
 }
 
@@ -359,7 +472,18 @@ fn main() {
         eprintln!("MICROBENCH_QUICK set: not rewriting BENCH_analysis.json");
         return;
     }
+    let bars = acceptance_bars(&results);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_analysis.json");
-    std::fs::write(path, render_report(&results)).expect("write BENCH_analysis.json");
+    std::fs::write(path, render_report(&results, &bars)).expect("write BENCH_analysis.json");
     println!("wrote {path}");
+    let failed: Vec<&Bar> = bars.iter().filter(|bar| !bar.passed()).collect();
+    for bar in &failed {
+        eprintln!(
+            "acceptance bar failed: {} (got {:.2}, need {:.1})",
+            bar.name, bar.value, bar.threshold
+        );
+    }
+    if !failed.is_empty() {
+        std::process::exit(1);
+    }
 }

@@ -23,7 +23,7 @@ options:
   --p/--pa/--pb/--cin input probabilities, as in `sealpaa analyze`
   --budget-power X    maximum total power in nW
   --budget-area X     maximum total area in GE
-  --local             use hill-climbing instead of exhaustive enumeration
+  --local             use hill-climbing instead of the exact search
                       (required for large widths/candidate sets)
   --pareto            print the error/power/area Pareto frontier
   --threads T         worker threads for the exhaustive search (default: all

@@ -178,6 +178,39 @@ fn dse_command_runs() {
 }
 
 #[test]
+fn dse_outputs_are_pinned() {
+    // Budgeted searches over power and over area, and the Pareto frontier,
+    // as the exhaustive enumeration printed them before the search pruned.
+    let w8 = [
+        "dse",
+        "--width",
+        "8",
+        "--candidates",
+        "lpaa1,lpaa2,lpaa3,lpaa4,lpaa5,accurate",
+        "--p",
+        "0.3",
+    ];
+    for (args, expected) in [
+        (
+            [&w8[..], &["--budget-power", "4320", "--threads", "2"]].concat(),
+            include_str!("golden/dse_w8_power4320.txt"),
+        ),
+        (
+            [&w8[..], &["--budget-area", "20", "--threads", "1"]].concat(),
+            include_str!("golden/dse_w8_area20.txt"),
+        ),
+        (
+            vec!["dse", "--width", "4", "--pareto"],
+            include_str!("golden/dse_w4_pareto.txt"),
+        ),
+    ] {
+        let (stdout, stderr, code) = sealpaa(&args);
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+        assert_eq!(stdout, expected, "{args:?}");
+    }
+}
+
+#[test]
 fn magnitude_with_distribution() {
     let (stdout, _, code) = sealpaa(&[
         "magnitude",
@@ -681,6 +714,35 @@ fn trace_replay_output_is_pinned_at_widths_8_and_33() {
             "E[|D|] (MED)           : 4322885585.376667\n",
             "E[D^2] (MSE)           : 31973173737955270656.000000\n",
             "max |D|                : 13029639424\n",
+        )
+    );
+}
+
+#[test]
+fn budgeted_dse_daemon_response_is_pinned() {
+    // The whole response line, every f64 digit; only `micros` varies.
+    let request = concat!(
+        r#"{"id":9,"kind":"dse","width":6,"#,
+        r#""candidates":["lpaa1","lpaa2","lpaa3","lpaa5","accurate"],"#,
+        r#""p":0.3,"budget_power":3240,"budget_area":20,"threads":2}"#,
+    );
+    let (stdout, stderr, code) = sealpaa_with_stdin(&["serve", "--stdio"], &format!("{request}\n"));
+    assert_eq!(code, Some(0), "{stderr}");
+    let line = stdout.lines().next().expect("one response line");
+    let (head, rest) = line.split_once(r#""micros":"#).expect("a micros field");
+    let tail = rest.trim_start_matches(|c: char| c.is_ascii_digit());
+    assert_eq!(
+        format!("{head}\"micros\":0{tail}"),
+        concat!(
+            r#"{"id":9,"ok":true,"kind":"dse","cached":false,"micros":0,"#,
+            r#""result":{"width":6,"#,
+            r#""candidates":["LPAA 1","LPAA 2","LPAA 3","LPAA 5","AccuFA (est.)"],"#,
+            r#""best":{"chain":"6-bit chain [AccuFA (est.), AccuFA (est.), AccuFA (est.), "#,
+            r#"LPAA 5, LPAA 5, LPAA 5]","#,
+            r#""cells":["AccuFA (est.)","AccuFA (est.)","AccuFA (est.)","#,
+            r#""LPAA 5","LPAA 5","LPAA 5"],"#,
+            r#""error_probability":0.7094251584000001,"power_nw":3240,"#,
+            r#""area_ge":17.700000000000003}}}"#,
         )
     );
 }

@@ -34,7 +34,7 @@ use sealpaa_cells::{Cell, InputProfile};
 use sealpaa_core::ErrorDistribution;
 
 use crate::prefix::{self, PrefixSearch};
-use crate::search::{pareto_filter, ExploreError, MAX_SEARCH};
+use crate::search::{costs, pareto_filter, ExploreError, MAX_SEARCH};
 
 /// The per-position choices the block search may combine.
 #[derive(Debug, Clone)]
@@ -59,6 +59,8 @@ impl BlockSearchSpace {
     ///   non-zero.
     /// * [`ExploreError::MissingCharacteristics`] if a cell cannot be
     ///   costed.
+    /// * [`ExploreError::InvalidCharacteristics`] if a cell's power or area
+    ///   is negative or not finite.
     pub fn new(
         widths: &[usize],
         predictions: &[usize],
@@ -74,11 +76,7 @@ impl BlockSearchSpace {
             return Err(ExploreError::NoCandidates);
         }
         for cell in cells {
-            if cell.characteristics().is_none() {
-                return Err(ExploreError::MissingCharacteristics {
-                    cell: cell.name().to_owned(),
-                });
-            }
+            costs(cell)?;
         }
         Ok(BlockSearchSpace {
             widths,
@@ -155,8 +153,8 @@ impl BlockBudget {
 
     /// `true` if a block of `window_len` fits the delay cap and the costs
     /// folded through it keep the budget satisfiable. The pruning is sound:
-    /// costs are non-negative and f64 addition of non-negative values is
-    /// monotone.
+    /// [`BlockSearchSpace::new`] admits only finite non-negative cell costs,
+    /// and f64 addition of non-negative values is monotone.
     fn admits_block(&self, window_len: usize, power: f64, area: f64) -> bool {
         self.max_window_len.is_none_or(|cap| window_len <= cap)
             && self.max_power_nw.is_none_or(|cap| power <= cap)
@@ -263,6 +261,8 @@ impl fmt::Display for BlockDesign {
 /// # Errors
 ///
 /// * [`ExploreError::MissingCharacteristics`] if a cell cannot be costed.
+/// * [`ExploreError::InvalidCharacteristics`] if a cell's power or area is
+///   negative or not finite.
 /// * [`ExploreError::Blocks`] if the analytical engine rejects the
 ///   configuration (width mismatch, support overflow).
 pub fn evaluate_block_config(
@@ -273,13 +273,7 @@ pub fn evaluate_block_config(
     let mut area = 0.0f64;
     let mut max_window = 0usize;
     for block in config.blocks() {
-        let ch =
-            block
-                .cell
-                .characteristics()
-                .ok_or_else(|| ExploreError::MissingCharacteristics {
-                    cell: block.cell.name().to_owned(),
-                })?;
+        let ch = costs(&block.cell)?;
         let wl = block.window_len();
         power += ch.power_nw * wl as f64;
         area += ch.area_ge * wl as f64;

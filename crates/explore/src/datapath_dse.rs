@@ -21,7 +21,7 @@ use sealpaa_datapath::{Datapath, NodeKind, Signal};
 use sealpaa_propagate::{GraphStepper, PropagateError};
 
 use crate::prefix::{self, PrefixSearch};
-use crate::search::{Assignment, Budget, ExploreError, MAX_SEARCH};
+use crate::search::{costs, Assignment, Budget, ExploreError, MAX_SEARCH};
 
 /// The score of one per-adder assignment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,11 +72,7 @@ fn adder_costs(
 ) -> Result<Vec<Vec<(f64, f64)>>, ExploreError> {
     let mut per_cell = Vec::with_capacity(candidates.len());
     for cell in candidates {
-        let ch = cell
-            .characteristics()
-            .ok_or_else(|| ExploreError::MissingCharacteristics {
-                cell: cell.name().to_owned(),
-            })?;
+        let ch = costs(cell)?;
         per_cell.push((ch.power_nw, ch.area_ge));
     }
     Ok(adders
@@ -214,6 +210,8 @@ fn adder_nodes(dp: &Datapath) -> Vec<(Signal, usize)> {
 ///
 /// * [`ExploreError::NoCandidates`] for an empty candidate list,
 /// * [`ExploreError::MissingCharacteristics`] if a candidate lacks data,
+/// * [`ExploreError::InvalidCharacteristics`] if a candidate's power or
+///   area is negative or not finite,
 /// * [`ExploreError::SpaceTooLarge`] beyond [`MAX_SEARCH`] assignments,
 /// * [`ExploreError::Propagate`] if the engine rejects the graph or
 ///   inputs (bad names, errorful gate control, …).
@@ -308,11 +306,7 @@ pub fn best_datapath_assignment_reference(
         });
     }
     for cell in candidates {
-        if cell.characteristics().is_none() {
-            return Err(ExploreError::MissingCharacteristics {
-                cell: cell.name().to_owned(),
-            });
-        }
+        costs(cell)?;
     }
     let propagate = |graph: &Datapath| -> Result<(f64, f64), ExploreError> {
         let mut stepper = GraphStepper::new(graph, inputs)

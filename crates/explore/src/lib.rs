@@ -9,7 +9,10 @@
 //!
 //! * [`evaluate`] — score one chain: analytical error probability + summed
 //!   power/area (paper Table 2 characteristics),
-//! * [`exhaustive_best`] — the true optimum by enumeration (small widths),
+//! * [`exhaustive_best`] — the true optimum, by a branch-and-bound search
+//!   that skips every prefix whose error probability (less a proven f64
+//!   rounding margin) is already worse than the best design found; it
+//!   returns the full enumeration's winner bit for bit,
 //! * [`local_search_best`] — deterministic hill-climbing for larger widths,
 //! * [`pareto_front`] — the error/power/area trade-off frontier,
 //! * [`accurate_cell_with_proxy_costs`] — an accurate full adder annotated
@@ -25,7 +28,9 @@
 //!   configuration of a width (`sealpaa-gear`) scored by its exact
 //!   linear-time DP, and the error/latency/area frontier.
 //!
-//! The three frontiers share one Pareto filter.
+//! The three frontiers share one Pareto filter. Every search that prunes
+//! on power or area refuses negative or non-finite cell costs
+//! ([`ExploreError::InvalidCharacteristics`]).
 //!
 //! # Examples
 //!

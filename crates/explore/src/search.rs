@@ -19,6 +19,17 @@
 //! breaks score ties by it, so results are identical for every thread
 //! count.
 //!
+//! # Bounded best-design search
+//!
+//! `P(Succ)` is the probability that no stage has deviated yet, so it can
+//! only fall as stages are appended, and a prefix's error probability is a
+//! lower bound on the error probability of every completion. In f64 the
+//! recursion rounds, so [`exhaustive_best_with`] bounds a prefix by its
+//! error probability minus [`rounding_margin`] of the stages still to come
+//! (proved in DESIGN.md §7), and skips every subtree whose bound is
+//! strictly above the best error probability found so far. Winners and
+//! every f64 bit stay those of the full enumeration.
+//!
 //! [`CarryState`]: sealpaa_core::CarryState
 
 use std::fmt;
@@ -36,6 +47,17 @@ pub enum ExploreError {
     MissingCharacteristics {
         /// Name of the offending cell.
         cell: String,
+    },
+    /// A candidate cell's power or area is negative or not finite. Budget
+    /// pruning relies on costs that only grow along a path, so such a cell
+    /// is refused rather than searched.
+    InvalidCharacteristics {
+        /// Name of the offending cell.
+        cell: String,
+        /// Its power, in nW.
+        power_nw: f64,
+        /// Its area, in GE.
+        area_ge: f64,
     },
     /// No candidate cells were supplied.
     NoCandidates,
@@ -72,6 +94,15 @@ impl fmt::Display for ExploreError {
             ExploreError::MissingCharacteristics { cell } => {
                 write!(f, "cell {cell:?} has no power/area characteristics")
             }
+            ExploreError::InvalidCharacteristics {
+                cell,
+                power_nw,
+                area_ge,
+            } => write!(
+                f,
+                "cell {cell:?} costs {power_nw} nW and {area_ge} GE; \
+                 power and area must be finite and non-negative"
+            ),
             ExploreError::NoCandidates => f.write_str("candidate cell list is empty"),
             ExploreError::SpaceTooLarge { designs, max } => {
                 write!(
@@ -175,13 +206,34 @@ pub fn accurate_cell_with_proxy_costs() -> Cell {
     )
 }
 
+/// A cell's power and area, if it has them and they are finite and
+/// non-negative — what every search's budget pruning assumes.
+pub(crate) fn costs(cell: &Cell) -> Result<CellCharacteristics, ExploreError> {
+    let ch = cell
+        .characteristics()
+        .ok_or_else(|| ExploreError::MissingCharacteristics {
+            cell: cell.name().to_owned(),
+        })?;
+    let valid = |x: f64| x.is_finite() && x >= 0.0;
+    if !valid(ch.power_nw) || !valid(ch.area_ge) {
+        return Err(ExploreError::InvalidCharacteristics {
+            cell: cell.name().to_owned(),
+            power_nw: ch.power_nw,
+            area_ge: ch.area_ge,
+        });
+    }
+    Ok(ch)
+}
+
 /// Scores one chain under a profile: analytical error probability plus
 /// summed power/area.
 ///
 /// # Errors
 ///
-/// Returns [`ExploreError::MissingCharacteristics`] if any stage lacks
-/// power/area data.
+/// * [`ExploreError::MissingCharacteristics`] if any stage lacks power/area
+///   data.
+/// * [`ExploreError::InvalidCharacteristics`] if a stage's power or area is
+///   negative or not finite.
 ///
 /// # Panics
 ///
@@ -192,11 +244,7 @@ pub fn evaluate(
     profile: &InputProfile<f64>,
 ) -> Result<Evaluation, ExploreError> {
     for cell in chain {
-        if cell.characteristics().is_none() {
-            return Err(ExploreError::MissingCharacteristics {
-                cell: cell.name().to_owned(),
-            });
-        }
+        costs(cell)?;
     }
     let analysis = analyze(chain, profile).expect("widths are validated by callers");
     Ok(Evaluation {
@@ -254,9 +302,9 @@ impl Assignment {
     }
 
     /// Appends `cell`, costing `power` and `area` more, unless that puts
-    /// the prefix over a cap. The pruning is sound: costs are non-negative
-    /// and f64 addition of non-negative values is monotone, so a prefix over
-    /// a cap has no completion under it.
+    /// the prefix over a cap. The pruning is sound: [`costs`] admits only
+    /// finite non-negative costs, and f64 addition of non-negative values is
+    /// monotone, so a prefix over a cap has no completion under it.
     pub(crate) fn push(&mut self, budget: &Budget, cell: usize, power: f64, area: f64) -> bool {
         let (p, a) = self.costs();
         let (p, a) = (p + power, a + area);
@@ -304,8 +352,8 @@ struct Hybrid<'a> {
 
 impl<'a> Hybrid<'a> {
     /// Validates every candidate up front (the search scores designs
-    /// without materializing chains, so the per-chain characteristics check
-    /// in [`evaluate`] never runs). The first candidate missing
+    /// without materializing chains, so the per-chain [`costs`] check in
+    /// [`evaluate`] never runs). The first candidate with missing or invalid
     /// characteristics is reported — the same cell the odometer enumeration
     /// would have tripped over first.
     fn new(
@@ -317,11 +365,7 @@ impl<'a> Hybrid<'a> {
         let mut powers = Vec::with_capacity(candidates.len());
         let mut areas = Vec::with_capacity(candidates.len());
         for cell in candidates {
-            let ch =
-                cell.characteristics()
-                    .ok_or_else(|| ExploreError::MissingCharacteristics {
-                        cell: cell.name().to_owned(),
-                    })?;
+            let ch = costs(cell)?;
             mkls.push(MklMatrices::from_truth_table(cell.truth_table()));
             powers.push(ch.power_nw);
             areas.push(ch.area_ge);
@@ -403,6 +447,26 @@ impl<'a> PrefixSearch for Hybrid<'a> {
             evaluation,
         }
     }
+
+    fn bound(&self, (stepper, path): &Self::Worker) -> Option<f64> {
+        let stages = self.profile.width() - path.len();
+        Some(stepper.error_probability() - rounding_margin(stages))
+    }
+
+    fn lead(&self, &(error_probability, ..): &Self::Key) -> Option<f64> {
+        Some(error_probability)
+    }
+}
+
+/// How far the computed error probability of a chain can fall below that
+/// of its prefix over `stages` more stages: `(22·stages + 1)·u`, with `u`
+/// the f64 unit roundoff. The proof (DESIGN.md §7) shows each stage step
+/// raises the computed `P(Succ)` by a factor of at most `(1 + u)^21`, plus
+/// an underflow term, and that the two complements `1 − P(Succ)` add at
+/// most `u`. It holds for chains of up to 2^40 stages. The product is
+/// exact in f64.
+pub(crate) fn rounding_margin(stages: usize) -> f64 {
+    (22.0 * stages as f64 + 1.0) * (f64::EPSILON / 2.0)
 }
 
 /// Enumerates and scores every `candidates^width` design (small spaces
@@ -415,6 +479,8 @@ impl<'a> PrefixSearch for Hybrid<'a> {
 ///
 /// * [`ExploreError::NoCandidates`] for an empty candidate list.
 /// * [`ExploreError::MissingCharacteristics`] if a candidate lacks data.
+/// * [`ExploreError::InvalidCharacteristics`] if a candidate's power or
+///   area is negative or not finite.
 /// * [`ExploreError::SpaceTooLarge`] beyond [`MAX_ENUMERATION`] designs.
 pub fn exhaustive_designs(
     candidates: &[Cell],
@@ -439,6 +505,8 @@ pub fn exhaustive_designs(
 ///
 /// * [`ExploreError::NoCandidates`] for an empty candidate list.
 /// * [`ExploreError::MissingCharacteristics`] if a candidate lacks data.
+/// * [`ExploreError::InvalidCharacteristics`] if a candidate's power or
+///   area is negative or not finite.
 /// * [`ExploreError::SpaceTooLarge`] beyond [`MAX_ENUMERATION`] designs.
 pub fn enumerate_designs(
     candidates: &[Cell],
@@ -447,20 +515,27 @@ pub fn enumerate_designs(
     exhaustive_designs(candidates, profile, 1)
 }
 
-/// The provably best design under a budget, by exhaustive prefix-sharing
-/// search over `threads` workers. Returns `None` if no design fits the
-/// budget.
+/// The provably best design under a budget, by prefix-sharing
+/// branch-and-bound search over `threads` workers. Returns `None` if no
+/// design fits the budget.
 ///
-/// Ties on error probability are broken by lower power, then lower area,
-/// then earliest odometer position — so the winner is identical for every
-/// thread count. Designs are never materialized (only the incumbent is
-/// kept), which is why the cap is [`MAX_SEARCH`] rather than
-/// [`MAX_ENUMERATION`].
+/// The search skips every prefix whose error probability, less a proven
+/// f64 rounding margin, is strictly above the best error probability any
+/// worker has found: no completion of it can win or tie. The result is
+/// therefore the exhaustive minimum, bit for bit. Ties on error
+/// probability are broken by lower power, then lower area, then earliest
+/// odometer position — so the winner is identical for every thread count.
+/// Designs are never materialized (only the incumbent is kept), which is
+/// why the cap is [`MAX_SEARCH`] rather than [`MAX_ENUMERATION`]. The cap
+/// counts designs, not visited nodes: how many nodes a search visits
+/// depends on thread timing, and the answer must not.
 ///
 /// # Errors
 ///
 /// * [`ExploreError::NoCandidates`] for an empty candidate list.
 /// * [`ExploreError::MissingCharacteristics`] if a candidate lacks data.
+/// * [`ExploreError::InvalidCharacteristics`] if a candidate's power or
+///   area is negative or not finite.
 /// * [`ExploreError::SpaceTooLarge`] beyond [`MAX_SEARCH`] designs.
 pub fn exhaustive_best_with(
     candidates: &[Cell],
@@ -572,6 +647,8 @@ pub fn exhaustive_best_reference(
 ///
 /// * [`ExploreError::NoCandidates`] for an empty candidate list.
 /// * [`ExploreError::MissingCharacteristics`] if a candidate lacks data.
+/// * [`ExploreError::InvalidCharacteristics`] if a candidate's power or
+///   area is negative or not finite.
 pub fn local_search_best(
     candidates: &[Cell],
     profile: &InputProfile<f64>,
@@ -704,6 +781,8 @@ pub(crate) fn pareto_filter<T>(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
     use super::*;
 
     fn lpaa_candidates() -> Vec<Cell> {
@@ -871,6 +950,153 @@ mod tests {
             Err(ExploreError::NoCandidates)
         );
         assert!(local_search_best(&[], &profile, &Budget::default()).is_err());
+    }
+
+    /// The hybrid search, counting stepper pushes: the nodes it visits.
+    struct Counted<'a>(Hybrid<'a>, AtomicUsize);
+
+    impl<'a> PrefixSearch for Counted<'a> {
+        type Worker = <Hybrid<'a> as PrefixSearch>::Worker;
+        type Score = Evaluation;
+        type Key = (f64, f64, f64);
+        type Order = u128;
+        type Design = HybridDesign;
+
+        fn worker(&self) -> Result<Self::Worker, ExploreError> {
+            self.0.worker()
+        }
+        fn choices(&self, worker: &Self::Worker) -> usize {
+            self.0.choices(worker)
+        }
+        fn push(&self, worker: &mut Self::Worker, cell: usize) -> Result<bool, ExploreError> {
+            let pushed = self.0.push(worker, cell)?;
+            self.1.fetch_add(usize::from(pushed), Relaxed);
+            Ok(pushed)
+        }
+        fn pop(&self, worker: &mut Self::Worker) {
+            self.0.pop(worker);
+        }
+        fn is_leaf(&self, worker: &Self::Worker) -> bool {
+            self.0.is_leaf(worker)
+        }
+        fn score(&self, worker: &Self::Worker) -> Result<Option<Evaluation>, ExploreError> {
+            self.0.score(worker)
+        }
+        fn key(&self, score: &Evaluation) -> Self::Key {
+            self.0.key(score)
+        }
+        fn order(&self, worker: &Self::Worker) -> u128 {
+            self.0.order(worker)
+        }
+        fn design(&self, worker: &Self::Worker, score: Evaluation) -> HybridDesign {
+            self.0.design(worker, score)
+        }
+        fn bound(&self, worker: &Self::Worker) -> Option<f64> {
+            self.0.bound(worker)
+        }
+        fn lead(&self, key: &Self::Key) -> Option<f64> {
+            self.0.lead(key)
+        }
+    }
+
+    /// perfbench's `hybrid_dse` shapes: all eight cells at p = 0.3 under a
+    /// power cap of half the all-accurate chain, at widths 5 and 8.
+    #[test]
+    fn bounded_search_visits_a_sliver_of_the_tree() {
+        let mut cells = vec![accurate_cell_with_proxy_costs()];
+        cells.extend(StandardCell::APPROXIMATE.iter().map(|c| {
+            let (power, area) = match c {
+                StandardCell::Lpaa6 => (500.0, 3.0),
+                StandardCell::Lpaa7 => (400.0, 2.5),
+                _ => {
+                    let ch = c.characteristics().expect("Table 2");
+                    (ch.power_nw, ch.area_ge)
+                }
+            };
+            Cell::custom_with_characteristics(
+                c.cell().name(),
+                c.truth_table(),
+                CellCharacteristics::new(power, area),
+            )
+        }));
+        assert_eq!(cells.len(), 8);
+        for width in [5, 8] {
+            let profile = InputProfile::constant(width, 0.3);
+            let budget = Budget {
+                max_power_nw: Some(0.5 * 1080.0 * width as f64),
+                max_area_ge: None,
+            };
+            let counted = Counted(
+                Hybrid::new(&cells, &profile, &budget).expect("costed"),
+                AtomicUsize::new(0),
+            );
+            let best = prefix::best(&counted, 1).expect("valid");
+            assert_eq!(
+                best,
+                exhaustive_best_with(&cells, &profile, &budget, 2).expect("valid")
+            );
+            // The unbounded walk pushes up to ~37k nodes at width 5 and
+            // ~1.5e7 at width 8.
+            let nodes = counted.1.load(Relaxed);
+            assert!(nodes < 5_000, "width {width}: {nodes} nodes");
+        }
+    }
+
+    #[test]
+    fn each_stage_keeps_the_proven_rounding_bound() {
+        // DESIGN.md §7: the computed P(Succ) obeys
+        // S_{d+1} ≤ (1 + u)^21 · S_d + 2^-1069 at every stage, so every
+        // completion's P(error) is at least the prefix's minus
+        // `rounding_margin`. Both are checked exactly, in rationals.
+        use sealpaa_num::Rational;
+        use sealpaa_sim::Xoshiro256pp;
+
+        let exact = Rational::from_f64;
+        let unit = exact(f64::EPSILON / 2.0);
+        let factor = (0..21).fold(Rational::one(), |acc, _| acc * (Rational::one() + &unit));
+        // A cheaper factor below (1 + u)^21: passing with it passes the
+        // lemma, without the 1100-bit products of the exact factor.
+        let below = Rational::one() + Rational::from_ratio(21, 1) * &unit;
+        assert!(below < factor);
+        // 2^-1069: 32 steps of the smallest subnormal, 2^-1074.
+        let underflow = exact(f64::from_bits(1 << 5));
+        let mut rng = Xoshiro256pp::seed_from_u64(0xB0_0D);
+        let probability = |rng: &mut Xoshiro256pp| match rng.next_below(5) {
+            0 => 0.0,
+            1 => 0.5,
+            2 => 1.0,
+            _ => rng.next_f64(),
+        };
+        for case in 0..300 {
+            let width = 1 + rng.next_below(64) as usize;
+            let pa = (0..width).map(|_| probability(&mut rng)).collect();
+            let pb = (0..width).map(|_| probability(&mut rng)).collect();
+            let profile = InputProfile::new(pa, pb, probability(&mut rng)).expect("in range");
+            let mut stepper = PrefixStepper::new(&profile);
+            let mut success = vec![stepper.success_probability()];
+            let mut error = vec![stepper.error_probability()];
+            for _ in 0..width {
+                let cell = StandardCell::ALL[rng.next_below(8) as usize];
+                stepper.push_cell(&cell.cell());
+                success.push(stepper.success_probability());
+                error.push(stepper.error_probability());
+            }
+            for d in 0..width {
+                let (next, prev) = (exact(success[d + 1]), exact(success[d]));
+                assert!(
+                    next <= &below * &prev + &underflow || next <= &factor * &prev + &underflow,
+                    "case {case}, stage {d}: {} after {}",
+                    success[d + 1],
+                    success[d]
+                );
+                assert!(
+                    exact(error[width]) >= exact(error[d]) - exact(rounding_margin(width - d)),
+                    "case {case}, depth {d}: {} at the end, {} at the prefix",
+                    error[width],
+                    error[d]
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! * Exact ties that only the leaf order decides: odometer order (the first
 //!   decision is the fastest digit) for hybrid chains and datapath
 //!   assignments, depth-first order for block tilings.
+//! * The hybrid search's branch and bound: budgets that make it prune, and
+//!   the unconstrained winner whose f64 error is a rounding residue.
+//! * Negative and non-finite cell costs, refused alike by every search and
+//!   its oracle.
 //!
 //! Random inputs come from fixed-seed [`Xoshiro256pp`] streams, so every
 //! failure reproduces.
@@ -18,8 +22,8 @@ use sealpaa_explore::{
     accurate_cell_with_proxy_costs, best_block_design, best_block_design_reference,
     best_datapath_assignment, best_datapath_assignment_reference, enumerate_block_designs,
     evaluate, evaluate_block_config, exhaustive_best_reference, exhaustive_best_with,
-    exhaustive_designs, BlockBudget, BlockDesign, BlockObjective, BlockSearchSpace, Budget,
-    HybridDesign,
+    exhaustive_designs, local_search_best, BlockBudget, BlockDesign, BlockObjective,
+    BlockSearchSpace, Budget, ExploreError, HybridDesign,
 };
 use sealpaa_propagate::topologies;
 use sealpaa_sim::Xoshiro256pp;
@@ -181,6 +185,152 @@ fn hybrid_best_matches_the_reference_scan() {
             let best = exhaustive_best_with(&candidates, &profile, &budget, threads);
             assert_eq!(best, reference, "case {case}, threads {threads}");
         }
+    }
+    // Wider chains under caps that bind, drawn as a share of the
+    // all-accurate chain's cost, so the bounded search prunes.
+    let mut rng = Xoshiro256pp::seed_from_u64(0xE7_0006);
+    for case in 0..200 {
+        let width = 1 + below(&mut rng, 6);
+        let candidates = pick(&mut rng, 4);
+        let profile = profile(&mut rng, width);
+        let share = |rng: &mut Xoshiro256pp, all_accurate: f64| {
+            (below(rng, 4) != 0).then(|| rng.next_f64() * all_accurate * width as f64)
+        };
+        let budget = Budget {
+            max_power_nw: share(&mut rng, 1080.0),
+            max_area_ge: share(&mut rng, 5.9),
+        };
+        let reference = exhaustive_best_reference(&candidates, &profile, &budget);
+        for threads in THREADS {
+            let best = exhaustive_best_with(&candidates, &profile, &budget, threads);
+            assert_eq!(best, reference, "capped case {case}, threads {threads}");
+        }
+    }
+}
+
+#[test]
+fn unconstrained_winner_is_the_enumeration_minimum_bit_for_bit() {
+    // The all-accurate chain wins, with a P(error) that is a rounding
+    // residue rather than 0.
+    let candidates = costed_cells();
+    assert_eq!(candidates.len(), 8);
+    let profile = InputProfile::constant(6, 0.3);
+    let designs = exhaustive_designs(&candidates, &profile, 1).expect("small");
+    let key = |d: &HybridDesign| {
+        let e = d.evaluation;
+        (e.error_probability, e.power_nw, e.area_ge)
+    };
+    // The first design with the lowest key: the earliest in odometer order.
+    let minimum = designs
+        .iter()
+        .reduce(|kept, d| if key(d) < key(kept) { d } else { kept })
+        .expect("designs");
+    assert!(minimum.chain.iter().all(|c| c.truth_table().is_accurate()));
+    assert!(minimum.evaluation.error_probability > 0.0);
+    for threads in THREADS {
+        let best = exhaustive_best_with(&candidates, &profile, &Budget::default(), threads)
+            .expect("small")
+            .expect("unconstrained");
+        assert_eq!(&best, minimum, "threads {threads}");
+    }
+}
+
+#[test]
+fn a_prefix_whose_rounding_residue_exceeds_the_winners_is_still_searched() {
+    // The all-accurate 4-bit chain at p = 0.7 computes P(error) 2.2e-16
+    // after three stages and 1.1e-16 after four. With the accurate cell
+    // costed twice, the walk first meets the dearer chain at 1.1e-16; the
+    // cheaper winner's prefixes then sit above that, and only the rounding
+    // margin keeps them.
+    let candidates = [
+        recosted(StandardCell::Accurate, 100.0, 1.0),
+        recosted(StandardCell::Accurate, 50.0, 1.0),
+    ];
+    let profile = InputProfile::constant(4, 0.7);
+    let winner = chain(&candidates, &[1, 1, 1, 1]);
+    let prefix = chain(&candidates, &[1, 1, 1]);
+    let score = evaluate(&winner, &profile).expect("costed");
+    let prefix_score = evaluate(&prefix, &InputProfile::constant(3, 0.7)).expect("costed");
+    assert!(prefix_score.error_probability > score.error_probability);
+    let reference = exhaustive_best_reference(&candidates, &profile, &Budget::default())
+        .expect("small")
+        .expect("unconstrained");
+    assert_eq!(reference.chain, winner);
+    for threads in THREADS {
+        let best = exhaustive_best_with(&candidates, &profile, &Budget::default(), threads)
+            .expect("small")
+            .expect("unconstrained");
+        assert_eq!(best, reference, "threads {threads}");
+    }
+}
+
+#[test]
+fn negative_and_non_finite_costs_are_refused_by_every_search_and_its_oracle() {
+    // With LPAA 5 at −150 nW the budget prune was unsound: under a 100 nW
+    // cap the reference scan found [AccuFA, LPAA 5] at P(err) 0.3864 and
+    // the prefix search [LPAA 5, AccuFA] at 0.4200.
+    let accurate = recosted(StandardCell::Accurate, 200.0, 5.9);
+    let profile = InputProfile::constant(2, 0.3);
+    let budget = Budget {
+        max_power_nw: Some(100.0),
+        max_area_ge: None,
+    };
+    let topo = topologies::fir(&StandardCell::Lpaa5.cell(), &[1, 1], 2).expect("fits");
+    let inputs: Vec<(String, Vec<f64>)> = topo
+        .inputs
+        .iter()
+        .map(|n| (n.clone(), vec![0.5; 2]))
+        .collect();
+    let inputs = as_refs(&inputs);
+    fn refused<T>(result: Result<T, ExploreError>, bad: &Cell) -> bool {
+        matches!(
+            result,
+            Err(ExploreError::InvalidCharacteristics { cell, .. }) if cell == bad.name()
+        )
+    }
+    for (power, area) in [
+        (-150.0, 0.0),
+        (0.0, -1e-300),
+        (f64::NAN, 1.0),
+        (1.0, f64::INFINITY),
+    ] {
+        let bad = recosted(StandardCell::Lpaa5, power, area);
+        let candidates = [accurate.clone(), bad.clone()];
+        let case = format!("({power}, {area})");
+        let reference = exhaustive_best_reference(&candidates, &profile, &budget);
+        assert!(refused(reference, &bad), "{case}");
+        for threads in THREADS {
+            let best = exhaustive_best_with(&candidates, &profile, &budget, threads);
+            assert!(refused(best, &bad), "{case}, threads {threads}");
+            let all = exhaustive_designs(&candidates, &profile, threads);
+            assert!(refused(all, &bad), "{case}, threads {threads}");
+            let best = best_datapath_assignment(
+                &topo.datapath,
+                topo.output,
+                &inputs,
+                &candidates,
+                &budget,
+                threads,
+            );
+            assert!(refused(best, &bad), "{case}, threads {threads}");
+        }
+        let local = local_search_best(&candidates, &profile, &budget);
+        assert!(refused(local, &bad), "{case}");
+        let reference = best_datapath_assignment_reference(
+            &topo.datapath,
+            topo.output,
+            &inputs,
+            &candidates,
+            &budget,
+        );
+        assert!(refused(reference, &bad), "{case}");
+        let space = BlockSearchSpace::new(&[1, 2], &[0], &candidates);
+        assert!(refused(space, &bad), "{case}");
+        let config = BlockConfig::new(vec![BlockSpec::new(2, 0, bad.clone())]).expect("valid");
+        assert!(
+            refused(evaluate_block_config(&config, &profile), &bad),
+            "{case}"
+        );
     }
 }
 

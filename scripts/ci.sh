@@ -153,6 +153,8 @@ run env SEALPAA_IO_MODEL=threads \
 # rather than in the next full bench run.
 run env MICROBENCH_QUICK=1 MICROBENCH_SAMPLE_MS=5 \
     cargo bench -p sealpaa-bench --bench simulation_kernels
+# At N = 6 in quick mode, both DSE workloads: unconstrained and the
+# power-capped `_cap50` rows, where the branch and bound does its work.
 run env MICROBENCH_QUICK=1 MICROBENCH_SAMPLE_MS=5 \
     cargo bench -p sealpaa-bench --bench analysis_kernels
 run env MICROBENCH_QUICK=1 MICROBENCH_SAMPLE_MS=5 \
