@@ -35,6 +35,7 @@
 use std::fmt::Write as _;
 use std::ops::{Add, Mul, Sub};
 
+use sealpaa_bench::host::thread_counts;
 use sealpaa_bench::microbench::{
     black_box, take_results, BenchResult, BenchmarkId, Criterion, Throughput,
 };
@@ -82,18 +83,6 @@ fn dse_width() -> usize {
     } else {
         8
     }
-}
-
-/// The threads of the multi-threaded DSE rows: all the host offers.
-fn parallel_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// The thread counts DSE rows are recorded at: one, and all.
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, parallel_threads()];
-    counts.dedup();
-    counts
 }
 
 /// The two DSE workloads: `(row label, description, budget)`.

@@ -27,6 +27,7 @@
 
 use std::fmt::Write as _;
 
+use sealpaa_bench::host::thread_counts;
 use sealpaa_bench::microbench::{black_box, take_results, BenchResult, BenchmarkId, Criterion};
 use sealpaa_blocks::{error_distance_distribution, exhaustive_distance_histogram, BlockConfig};
 use sealpaa_cells::InputProfile;
@@ -106,7 +107,7 @@ fn bench_dse(c: &mut Criterion) {
             )
         })
     });
-    for threads in [1usize, 4] {
+    for threads in thread_counts() {
         group.bench_function(
             BenchmarkId::new(format!("w{width}"), format!("prefix_sharing_t{threads}")),
             |b| {
@@ -144,34 +145,28 @@ fn render_report(results: &[BenchResult], dist_width: usize, dse_width: usize) -
         );
     }
 
-    let speedup_pairs = [
-        (
-            format!(
-                "ED-PMF of a heterogeneous width-{dist_width} config: analytical carry-state \
-                 DP vs bitsliced exhaustive enumeration of all operand pairs"
-            ),
-            format!("distance/w{dist_width}/exhaustive"),
-            format!("distance/w{dist_width}/analytical"),
+    let speedup_pairs = [(
+        format!(
+            "ED-PMF of a heterogeneous width-{dist_width} config: analytical carry-state \
+             DP vs bitsliced exhaustive enumeration of all operand pairs"
         ),
-        (
-            format!(
-                "best mean-ED design over every 3/4-wide depth-0/1 tiling of a width-\
-                 {dse_width} adder under 12-bit-magnitude operands: prefix-sharing DSE \
-                 (1 thread) vs naive per-config scan"
-            ),
-            format!("dse/w{dse_width}/naive_scan"),
-            format!("dse/w{dse_width}/prefix_sharing_t1"),
-        ),
+        format!("distance/w{dist_width}/exhaustive"),
+        format!("distance/w{dist_width}/analytical"),
+    )]
+    .into_iter()
+    .chain(thread_counts().into_iter().map(|threads| {
+        let unit = if threads == 1 { "thread" } else { "threads" };
         (
             format!(
                 "best mean-ED design over every 3/4-wide depth-0/1 tiling of a width-\
                  {dse_width} adder under 12-bit-magnitude operands: prefix-sharing DSE \
-                 (4 threads) vs naive per-config scan"
+                 ({threads} {unit}) vs naive per-config scan"
             ),
             format!("dse/w{dse_width}/naive_scan"),
-            format!("dse/w{dse_width}/prefix_sharing_t4"),
-        ),
-    ];
+            format!("dse/w{dse_width}/prefix_sharing_t{threads}"),
+        )
+    }))
+    .collect::<Vec<_>>();
     let mut speedups = String::new();
     for (i, (workload, baseline, fast)) in speedup_pairs.iter().enumerate() {
         let base_ns = ns_of(results, baseline);

@@ -27,6 +27,7 @@
 
 use std::fmt::Write as _;
 
+use sealpaa_bench::host::thread_counts;
 use sealpaa_bench::microbench::{black_box, take_results, BenchResult, BenchmarkId, Criterion};
 use sealpaa_cells::StandardCell;
 use sealpaa_datapath::{Datapath, NodeKind, Signal};
@@ -155,7 +156,7 @@ fn bench_optimize(c: &mut Criterion) {
             )
         })
     });
-    for threads in [1usize, 4] {
+    for threads in thread_counts() {
         group.bench_function(
             BenchmarkId::new(&label, format!("prefix_sharing_t{threads}")),
             |b| {
@@ -194,31 +195,28 @@ fn render_report(results: &[BenchResult], label: &str, samples: u64) -> String {
         );
     }
 
-    let speedup_pairs = [
+    let speedup_pairs = [(
+        format!(
+            "output-error moments/SNR of a 3x3 Gaussian blur (LPAA 5 adders, 8-bit \
+             pixels): analytical one-pass propagation vs {samples}-sample gate-accurate \
+             Monte-Carlo simulation"
+        ),
+        format!("snr/{label}/monte_carlo_{samples}"),
+        format!("snr/{label}/analytical"),
+    )]
+    .into_iter()
+    .chain(thread_counts().into_iter().map(|threads| {
+        let unit = if threads == 1 { "thread" } else { "threads" };
         (
             format!(
-                "output-error moments/SNR of a 3x3 Gaussian blur (LPAA 5 adders, 8-bit \
-                 pixels): analytical one-pass propagation vs {samples}-sample gate-accurate \
-                 Monte-Carlo simulation"
+                "min-MSE per-adder cell assignment of the same convolution over a 3-cell \
+                 library: prefix-sharing DFS ({threads} {unit}) vs naive per-config scan"
             ),
-            format!("snr/{label}/monte_carlo_{samples}"),
-            format!("snr/{label}/analytical"),
-        ),
-        (
-            "min-MSE per-adder cell assignment of the same convolution over a 3-cell \
-             library: prefix-sharing DFS (1 thread) vs naive per-config scan"
-                .to_string(),
             format!("optimize/{label}/naive_scan"),
-            format!("optimize/{label}/prefix_sharing_t1"),
-        ),
-        (
-            "min-MSE per-adder cell assignment of the same convolution over a 3-cell \
-             library: prefix-sharing DFS (4 threads) vs naive per-config scan"
-                .to_string(),
-            format!("optimize/{label}/naive_scan"),
-            format!("optimize/{label}/prefix_sharing_t4"),
-        ),
-    ];
+            format!("optimize/{label}/prefix_sharing_t{threads}"),
+        )
+    }))
+    .collect::<Vec<_>>();
     let mut speedups = String::new();
     for (i, (workload, baseline, fast)) in speedup_pairs.iter().enumerate() {
         let base_ns = ns_of(results, baseline);

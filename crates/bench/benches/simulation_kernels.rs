@@ -1,7 +1,7 @@
 //! Bitsliced vs scalar simulation kernels, and exhaustive-sweep thread
 //! scaling — the quantitative record behind `BENCH_simulation.json`.
 //!
-//! Three groups:
+//! Four groups:
 //!
 //! * `scalar_vs_bitsliced` — the same workload through the scalar reference
 //!   engine and the bitsliced engine on the widest available SIMD backend:
@@ -11,9 +11,14 @@
 //!   of paper Fig. 1 — so exhaustive speedups are measured at widths 8 and
 //!   10).
 //! * `exhaustive_threads` — the width-10 exhaustive sweep through
-//!   `exhaustive_with` at 1/2/4 threads (same workload as the
-//!   `scalar_vs_bitsliced` width-10 pair, so the thread rows share the
-//!   scalar baseline).
+//!   `exhaustive_with` on one thread (`_t1`) and on every thread the host
+//!   offers (`_tN`, `N` = `available_parallelism`; the sweep never runs
+//!   more), on the same workload as the `scalar_vs_bitsliced` width-10
+//!   pair, so the thread rows share the scalar baseline.
+//! * `monte_carlo_streams` — the uniform LPAA 6 Monte-Carlo workload drawn
+//!   as 64 sample streams: the streams fix the samples and run on at most
+//!   the host's parallelism, so the row pays for 64 streams' set-up but not
+//!   for 64 OS threads.
 //! * `backend_comparison` — the Monte-Carlo (uniform and biased input) and
 //!   width-10 exhaustive workloads pinned to each available SIMD backend
 //!   (u64 / u64x2 / avx2 / avx512), so bench JSONs attribute every number
@@ -27,6 +32,7 @@
 
 use std::fmt::Write as _;
 
+use sealpaa_bench::host::thread_counts;
 use sealpaa_bench::microbench::{
     black_box, take_results, BenchResult, BenchmarkId, Criterion, Throughput,
 };
@@ -146,13 +152,34 @@ fn bench_exhaustive_threads(c: &mut Criterion) {
     let chain = AdderChain::uniform(StandardCell::Lpaa5.cell(), 10);
     let profile = InputProfile::<f64>::uniform(10);
     group.throughput(Throughput::Elements(1u64 << 21));
-    for threads in [1usize, 2, 4] {
-        group.bench_function(BenchmarkId::new("lpaa5_w10", threads), |b| {
-            b.iter(|| {
-                exhaustive_with(black_box(&chain), black_box(&profile), threads).expect("feasible")
-            })
-        });
+    for threads in thread_counts() {
+        group.bench_function(
+            BenchmarkId::new("lpaa5_w10", format!("bitsliced_t{threads}")),
+            |b| {
+                b.iter(|| {
+                    exhaustive_with(black_box(&chain), black_box(&profile), threads)
+                        .expect("feasible")
+                })
+            },
+        );
     }
+    group.finish();
+}
+
+fn bench_monte_carlo_streams(c: &mut Criterion) {
+    let mut group = c.benchmark_group("monte_carlo_streams");
+    group.sample_size(10);
+    let chain = AdderChain::uniform(StandardCell::Lpaa6.cell(), 16);
+    let profile = InputProfile::constant(16, 0.5);
+    group.throughput(Throughput::Elements(MC_SAMPLES));
+    group.bench_function(
+        BenchmarkId::new("mc_lpaa6_w16_p0.5", "bitsliced_64_streams"),
+        |b| {
+            b.iter(|| {
+                monte_carlo(black_box(&chain), black_box(&profile), mc_config(64)).expect("valid")
+            })
+        },
+    );
     group.finish();
 }
 
@@ -198,16 +225,22 @@ fn render_report(results: &[BenchResult]) -> String {
             "scalar_vs_bitsliced/exhaustive_lpaa5_w10/bitsliced",
         ),
         (
-            "exhaustive lpaa5 w10, 2 threads (2^21 cases)",
-            "scalar_vs_bitsliced/exhaustive_lpaa5_w10/scalar",
-            "exhaustive_threads/lpaa5_w10/2",
+            "monte_carlo lpaa6 w16 p=0.5 (65536 samples), 64 streams",
+            "scalar_vs_bitsliced/mc_lpaa6_w16_p0.5/scalar",
+            "monte_carlo_streams/mc_lpaa6_w16_p0.5/bitsliced_64_streams",
         ),
+    ]
+    .map(|(workload, baseline, fast)| (workload.to_owned(), baseline.to_owned(), fast.to_owned()))
+    .into_iter()
+    .chain(thread_counts().into_iter().map(|threads| {
+        let unit = if threads == 1 { "thread" } else { "threads" };
         (
-            "exhaustive lpaa5 w10, 4 threads (2^21 cases)",
-            "scalar_vs_bitsliced/exhaustive_lpaa5_w10/scalar",
-            "exhaustive_threads/lpaa5_w10/4",
-        ),
-    ];
+            format!("exhaustive lpaa5 w10, {threads} {unit} (2^21 cases)"),
+            "scalar_vs_bitsliced/exhaustive_lpaa5_w10/scalar".to_owned(),
+            format!("exhaustive_threads/lpaa5_w10/bitsliced_t{threads}"),
+        )
+    }))
+    .collect::<Vec<_>>();
     let mut speedups = String::new();
     for (i, (workload, baseline, fast)) in speedup_pairs.iter().enumerate() {
         let base_ns = ns_of(results, baseline);
@@ -294,6 +327,7 @@ fn main() {
     bench_scalar_vs_bitsliced(&mut criterion);
     bench_backend_comparison(&mut criterion);
     bench_exhaustive_threads(&mut criterion);
+    bench_monte_carlo_streams(&mut criterion);
     let results = take_results();
     if std::env::var_os("MICROBENCH_QUICK").is_some() {
         eprintln!("MICROBENCH_QUICK set: not rewriting BENCH_simulation.json");

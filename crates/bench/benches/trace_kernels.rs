@@ -31,6 +31,7 @@
 
 use std::fmt::Write as _;
 
+use sealpaa_bench::host::thread_counts;
 use sealpaa_bench::microbench::{
     black_box, take_results, BenchResult, BenchmarkId, Criterion, Throughput,
 };
@@ -47,18 +48,6 @@ const WIDTH: usize = 16;
 /// backends (commit b310b45): the baseline of the widest-backend bar.
 const PRE_SIMD_U64_LPAA2_NS: f64 = 2_984_000.0;
 const PRE_SIMD_U64_HYBRID4_NS: f64 = 2_386_000.0;
-
-/// The threads of the multi-threaded replay rows: all the host offers.
-fn parallel_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// The thread counts replay rows are recorded at: one, and all.
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, parallel_threads()];
-    counts.dedup();
-    counts
-}
 
 fn record_count() -> usize {
     if std::env::var_os("MICROBENCH_QUICK").is_some() {

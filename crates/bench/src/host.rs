@@ -1,7 +1,18 @@
 //! The host block of every `BENCH_*.json` file: which machine, toolchain
-//! and source revision a recorded number came from.
+//! and source revision a recorded number came from, and the thread counts
+//! the `_tN` rows are recorded at.
 
 use std::process::Command;
+
+use sealpaa_sim::default_threads;
+
+/// The thread counts of every `_tN` row: one, and all the host offers
+/// ([`default_threads`], the `available_parallelism` of the host block).
+pub fn thread_counts() -> Vec<usize> {
+    let mut counts = vec![1, default_threads()];
+    counts.dedup();
+    counts
+}
 
 /// Renders the `"host"` object every `BENCH_*.json` writer embeds, as one
 /// line of JSON:
@@ -20,7 +31,6 @@ pub fn host_block() -> String {
     let logical_cpus = command_output("getconf", &["_NPROCESSORS_ONLN"], root)
         .and_then(|n| n.parse::<usize>().ok())
         .map_or_else(|| "null".to_owned(), |n| n.to_string());
-    let parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mode = if std::env::var_os("MICROBENCH_QUICK").is_some() {
         "quick"
     } else {
@@ -30,8 +40,9 @@ pub fn host_block() -> String {
         json_string(&command_output(program, args, root).unwrap_or_else(|| "unknown".to_owned()))
     };
     format!(
-        "{{\"logical_cpus\": {logical_cpus}, \"available_parallelism\": {parallelism}, \
+        "{{\"logical_cpus\": {logical_cpus}, \"available_parallelism\": {}, \
          \"simd_backend\": \"{}\", \"mode\": \"{mode}\", \"rustc\": {}, \"git_rev\": {}}}",
+        default_threads(),
         sealpaa_cells::Backend::active().name(),
         text("rustc", &["--version"]),
         text("git", &["rev-parse", "--short", "HEAD"]),

@@ -46,8 +46,8 @@ sweep/pareto options:
   --max-window L      maximum single-block window length (delay proxy)
   --objective OBJ     mean-ed | mse | error-rate (default mean-ed)
   --top K             sweep: print only the K best designs (default 10)
-  --threads T         worker threads (default: all cores; results are
-                      identical for any T)";
+  --threads T         threads, at most the available cores (default: all
+                      of them; results are identical for any T)";
 
 /// Runs the command.
 ///

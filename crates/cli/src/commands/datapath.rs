@@ -44,8 +44,8 @@ optimize:
                       estimated costs from DESIGN.md)
   --budget-power X    maximum summed adder power in nW
   --budget-area X     maximum summed adder area in GE
-  --threads T         worker threads (default: all cores; results are
-                      identical for any T)
+  --threads T         threads, at most the available cores (default: all
+                      of them; results are identical for any T)
 
 common:
   --json           machine-readable output";

@@ -26,8 +26,9 @@ options:
   --local             use hill-climbing instead of the exact search
                       (required for large widths/candidate sets)
   --pareto            print the error/power/area Pareto frontier
-  --threads T         worker threads for the exhaustive search (default: all
-                      available cores; results are identical for any T)";
+  --threads T         threads for the exact search, at most the available
+                      cores (default: all of them; results are identical
+                      for any T)";
 
 /// Runs the command.
 ///

@@ -23,10 +23,11 @@ options:
   --exhaustive    enumerate every input combination (default if N <= 10)
   --samples M     Monte-Carlo with M samples (default 1000000 when N > 10)
   --seed S        Monte-Carlo RNG seed (default 0xDAC17ADD)
-  --threads T     worker threads for both modes (default: all available
-                  cores; Monte-Carlo results are deterministic per
-                  (seed, threads, backend) triple, exhaustive results for
-                  any T and backend)
+  --threads T     Monte-Carlo sample streams or exhaustive operand ranges,
+                  at most 64 (default: all available cores); they run on
+                  at most the available cores. Monte-Carlo results are
+                  deterministic per (seed, threads, backend) triple,
+                  exhaustive results for any T and backend
   --backend B     SIMD backend for the bitsliced kernels: u64, u64x2,
                   avx2, avx512 (default: widest available; see
                   `sealpaa simd`)";

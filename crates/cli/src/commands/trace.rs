@@ -39,7 +39,9 @@ synth options:
 
 replay/fidelity options:
   --cell/--cells  adder under test, as in `sealpaa analyze` (required)
-  --threads T     worker threads for the bitsliced replay (default: cores)
+  --threads T     replay spans, at most 64 (default: cores); they run on
+                  at most the available cores, and the report is
+                  identical for any T
   --backend B     SIMD backend for replay (replay only): u64, u64x2, avx2,
                   avx512 (default: widest available; see `sealpaa simd`)";
 

@@ -12,27 +12,31 @@
 //! A problem may also bound the first key component of every leaf below a
 //! node ([`PrefixSearch::bound`]). [`best`] then skips a subtree when that
 //! bound is strictly above the lowest first component of any leaf key
-//! found so far, by any worker: the workers share it through one atomic.
+//! found so far, in any part: the parts share it through one atomic.
 //! [`all`] never prunes. A problem without a bound pays nothing for this:
 //! no atomic and no extra work per node or leaf.
 //!
 //! # Determinism contract
 //!
-//! The root's choices are split into contiguous ranges: the calling thread
-//! walks the first, one scoped thread each walks the others. Every leaf
-//! has a problem-defined *leaf order*: [`best`] keeps the leaf with the
-//! lowest `(key, leaf order)`, and [`all`] returns leaves sorted by leaf
-//! order. Pruning keeps that: a pruned leaf's key is strictly above a key
-//! some worker keeps, so it can neither win nor tie the winner. Results —
-//! winner, enumeration order, every f64 bit — are therefore the same for
-//! every thread count; only the number of visited nodes depends on thread
-//! timing. A failing worker stops; the error of the first failing range,
-//! which is the one a one-thread run meets first, is returned. Problems
-//! whose `push` or `score` can fail give no bound, so no pruning can hide
-//! an error.
+//! Each root choice is one part, walked through `sealpaa_sim::fan_out`
+//! from a fresh worker into its own sink; the calling thread walks the
+//! first, and the threads claim the others in order. Every leaf has a
+//! problem-defined *leaf order*: [`best`] keeps the leaf with the lowest
+//! `(key, leaf order)`, and [`all`] returns leaves sorted by leaf order.
+//! The sinks merge in part order. Pruning keeps that: a pruned leaf's key
+//! is strictly above a key some part keeps, so it can neither win nor tie
+//! the winner. Results — winner, enumeration order, every f64 bit — are
+//! therefore the same for every thread count; only the number of visited
+//! nodes depends on thread timing. A failing part stops, and a later part
+//! that starts after the failure returns at once; the error of the first
+//! failing part, which is the one a one-thread run meets first, is
+//! returned. Problems whose `push` or `score` can fail give no bound, so
+//! no pruning can hide an error.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+
+use sealpaa_sim::fan_out;
 
 use crate::search::ExploreError;
 
@@ -105,10 +109,10 @@ pub(crate) fn all<P: PrefixSearch>(
     Ok(leaves.into_iter().map(|(_, design)| design).collect())
 }
 
-/// What one worker keeps of the leaves it visits.
+/// What one part keeps of the leaves it visits.
 trait Sink<P: PrefixSearch>: Send {
     fn leaf(&mut self, problem: &P, worker: &P::Worker, score: P::Score);
-    /// Folds in the result of a later range.
+    /// Folds in the result of a later part.
     fn merge(&mut self, later: Self);
     /// `true` if no leaf below the worker's inner node needs a visit.
     fn prunes(&self, _problem: &P, _worker: &P::Worker) -> bool {
@@ -116,7 +120,7 @@ trait Sink<P: PrefixSearch>: Send {
     }
 }
 
-/// The lowest leaf lead any worker has found. The atomic holds the lead's
+/// The lowest leaf lead any part has found. The atomic holds the lead's
 /// bits mapped so that unsigned order is the f64 total order; it starts
 /// at `u64::MAX`, which reads back as NaN and so prunes nothing. A stale
 /// `Relaxed` read is an incumbent no lower than the current one, so it can
@@ -195,7 +199,7 @@ impl<P: PrefixSearch> Sink<P> for Best<'_, P> {
             || problem.order(worker),
             || problem.design(worker, score),
         );
-        // A leaf this worker does not keep has a lead no lower than one it
+        // A leaf this part does not keep has a lead no lower than one it
         // has already published.
         if let Some(lead) = lead.filter(|_| kept) {
             self.incumbent.lower(lead);
@@ -210,7 +214,7 @@ impl<P: PrefixSearch> Sink<P> for Best<'_, P> {
 
     /// Every leaf below has a lead at least the bound, so a bound strictly
     /// above the incumbent's lead means a key strictly above a key some
-    /// worker keeps: no such leaf can win or tie.
+    /// part keeps: no such leaf can win or tie.
     fn prunes(&self, problem: &P, worker: &P::Worker) -> bool {
         problem
             .bound(worker)
@@ -231,39 +235,35 @@ impl<P: PrefixSearch> Sink<P> for All<P> {
     }
 }
 
-/// Walks the root's first choice range on the calling thread and the others
-/// on scoped threads, then merges the sinks in range order.
+/// Walks one part per root choice through [`fan_out`], each from a fresh
+/// worker into its own sink, then merges the sinks in part order. The
+/// error returned is that of the first failing part, as in a one-thread
+/// walk; a part after a known failure returns at once.
 fn run<P: PrefixSearch, S: Sink<P>>(
     problem: &P,
     threads: usize,
     sink: impl Fn() -> S + Sync,
 ) -> Result<S, ExploreError> {
-    let mut root = problem.worker()?;
-    let mut ranges = split_ranges(problem.choices(&root), threads).into_iter();
-    let first = ranges.next().expect("at least one range");
-    let walk_range = |worker: &mut P::Worker, range| {
+    let roots = problem.choices(&problem.worker()?);
+    // The lowest part known to have failed. A stale read only walks more.
+    let failed = AtomicUsize::new(usize::MAX);
+    let parts = fan_out(roots, threads, |choice| {
         let mut sink = sink();
-        walk(problem, worker, range, &mut sink)?;
-        Ok(sink)
-    };
-    let partials: Vec<Result<S, ExploreError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .map(|range| scope.spawn(|| walk_range(&mut problem.worker()?, range)))
-            .collect();
-        let mut partials = vec![walk_range(&mut root, first)];
-        partials.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("search worker panicked")),
-        );
-        partials
+        if failed.load(Relaxed) < choice {
+            return Ok(sink);
+        }
+        let walked = problem
+            .worker()
+            .and_then(|mut worker| walk(problem, &mut worker, choice..choice + 1, &mut sink));
+        if walked.is_err() {
+            failed.fetch_min(choice, Relaxed);
+        }
+        walked.map(|()| sink)
     });
-    let mut partials = partials.into_iter();
-    let mut merged = partials.next().expect("the first range")?;
-    for partial in partials {
-        merged.merge(partial?);
-    }
-    Ok(merged)
+    parts.into_iter().try_fold(sink(), |mut merged, part| {
+        merged.merge(part?);
+        Ok(merged)
+    })
 }
 
 /// Visits every completion of the worker's node through `choices` that the
@@ -291,34 +291,8 @@ fn walk<P: PrefixSearch, S: Sink<P>>(
     Ok(())
 }
 
-/// Splits `0..n` into at most `parts` contiguous non-empty ranges (one
-/// empty range when `n` is 0).
-///
-/// Results are merged in range order and are thread-count invariant, so
-/// oversubscribing past the machine's cores can only add scheduling
-/// overhead (the `dse/w40 _t4 > _t1` regression in BENCH_blocks.json).
-/// `parts` is therefore also clamped to the available parallelism.
-fn split_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let parts = parts.min(cores).clamp(1, n.max(1));
-    let base = n / parts;
-    let extra = n % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let len = base + usize::from(i < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::AtomicUsize;
-
     use super::*;
 
     /// Two binary decisions with a fixed value per leaf, an exact bound
@@ -405,6 +379,71 @@ mod tests {
         let leaves = all(&problem, 1).expect("no errors");
         assert_eq!(leaves, [vec![0, 0], vec![1, 0], vec![0, 1], vec![1, 1]]);
         assert_eq!(problem.pushes.load(Relaxed), 6);
+    }
+
+    /// Four root choices, two leaves below each; a push below an odd root
+    /// fails with an error naming that root. Counts attempted pushes.
+    struct Failing(AtomicUsize);
+
+    impl PrefixSearch for Failing {
+        type Worker = Vec<usize>;
+        type Score = ();
+        type Key = ();
+        type Order = usize;
+        type Design = Vec<usize>;
+
+        fn worker(&self) -> Result<Vec<usize>, ExploreError> {
+            Ok(Vec::new())
+        }
+        fn choices(&self, path: &Vec<usize>) -> usize {
+            if path.is_empty() {
+                4
+            } else {
+                2
+            }
+        }
+        fn push(&self, path: &mut Vec<usize>, choice: usize) -> Result<bool, ExploreError> {
+            self.0.fetch_add(1, Relaxed);
+            if let Some(&root) = path.first().filter(|&&root| root % 2 == 1) {
+                return Err(ExploreError::SpaceTooLarge {
+                    designs: root as u128,
+                    max: 0,
+                });
+            }
+            path.push(choice);
+            Ok(true)
+        }
+        fn pop(&self, path: &mut Vec<usize>) {
+            path.pop();
+        }
+        fn is_leaf(&self, path: &Vec<usize>) -> bool {
+            path.len() == 2
+        }
+        fn score(&self, _: &Vec<usize>) -> Result<Option<()>, ExploreError> {
+            Ok(Some(()))
+        }
+        fn key(&self, (): &()) {}
+        fn order(&self, path: &Vec<usize>) -> usize {
+            path[0] * 2 + path[1]
+        }
+        fn design(&self, path: &Vec<usize>, (): ()) -> Vec<usize> {
+            path.clone()
+        }
+    }
+
+    #[test]
+    fn the_first_failing_part_names_the_error() {
+        let first = ExploreError::SpaceTooLarge { designs: 1, max: 0 };
+        for threads in [1, 2, 3, 7] {
+            let problem = Failing(AtomicUsize::new(0));
+            assert_eq!(best(&problem, threads), Err(first.clone()), "t{threads}");
+            assert_eq!(all(&problem, threads), Err(first.clone()), "t{threads}");
+        }
+        // One thread stops at the first failure: root 0 and its two leaves,
+        // then root 1 and its failing push. Roots 2 and 3 are never pushed.
+        let problem = Failing(AtomicUsize::new(0));
+        assert_eq!(best(&problem, 1), Err(first));
+        assert_eq!(problem.0.load(Relaxed), 5);
     }
 
     #[test]

@@ -1020,7 +1020,7 @@ mod tests {
             )
         }));
         assert_eq!(cells.len(), 8);
-        for width in [5, 8] {
+        for (width, visited) in [(5, 328), (8, 4_417)] {
             let profile = InputProfile::constant(width, 0.3);
             let budget = Budget {
                 max_power_nw: Some(0.5 * 1080.0 * width as f64),
@@ -1036,9 +1036,9 @@ mod tests {
                 exhaustive_best_with(&cells, &profile, &budget, 2).expect("valid")
             );
             // The unbounded walk pushes up to ~37k nodes at width 5 and
-            // ~1.5e7 at width 8.
-            let nodes = counted.1.load(Relaxed);
-            assert!(nodes < 5_000, "width {width}: {nodes} nodes");
+            // ~1.5e7 at width 8. A one-thread walk visits the same nodes
+            // whatever the driver's parts are.
+            assert_eq!(counted.1.load(Relaxed), visited, "width {width}");
         }
     }
 

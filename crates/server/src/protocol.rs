@@ -675,7 +675,11 @@ impl SimulateSpec {
                     .unwrap_or(0xDAC1_7ADD),
                 threads: doc
                     .get("threads")
-                    .map(|v| v.as_u64().ok_or("\"threads\" must be a positive integer"))
+                    .map(|v| {
+                        v.as_u64()
+                            .filter(|&t| t > 0)
+                            .ok_or("\"threads\" must be a positive integer")
+                    })
                     .transpose()?
                     .map_or_else(sealpaa_sim::default_threads, |t| t as usize),
             },
@@ -1371,6 +1375,10 @@ mod tests {
             ),
             (
                 r#"{"kind":"dse","width":4,"threads":0}"#,
+                "positive integer",
+            ),
+            (
+                r#"{"kind":"simulate","width":4,"cell":"lpaa1","mode":"monte_carlo","threads":0}"#,
                 "positive integer",
             ),
             (

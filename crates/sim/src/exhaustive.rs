@@ -15,12 +15,12 @@
 //!   mismatch mask. Correct lanes are then settled in bulk (popcount for
 //!   the histogram, one factorized weight per batch); only mismatching or
 //!   stage-deviating lanes fall back to per-lane weight/histogram work.
-//!   [`exhaustive_with`] additionally splits the `a` range across
-//!   `std::thread::scope` workers and merges the partial results in range
-//!   order; lanes are assigned in ascending case order on every backend,
-//!   so for exact probability types (`Rational`, whose addition is
-//!   associative) all counts, histograms and `T`-typed probabilities are
-//!   bit-for-bit identical for **any** thread count *and* backend. The
+//!   [`exhaustive_with`] additionally splits the `a` range into contiguous
+//!   ranges, runs them through [`fan_out`] and merges the partial results
+//!   in range order; lanes are assigned in ascending case order on every
+//!   backend, so for exact probability types (`Rational`, whose addition
+//!   is associative) all counts, histograms and `T`-typed probabilities
+//!   are bit-for-bit identical for **any** thread count *and* backend. The
 //!   `f64` *metrics* may differ in the last ulp across thread counts or
 //!   backends because float addition is not associative.
 //!
@@ -41,6 +41,7 @@ use sealpaa_cells::{
 use sealpaa_num::Prob;
 
 use crate::metrics::{ErrorMetrics, MetricsAccumulator};
+use crate::parallel::fan_out;
 
 /// Errors produced by [`exhaustive`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,45 +161,23 @@ fn validate<T: Prob>(chain: &AdderChain, profile: &InputProfile<T>) -> Result<us
 ///
 /// * [`SimError::WidthMismatch`] if `profile` does not match the chain.
 /// * [`SimError::WidthTooLarge`] if `chain.width() > MAX_EXHAUSTIVE_WIDTH`.
-pub fn exhaustive<T: Prob>(
+pub fn exhaustive<T: Prob + Send + Sync>(
     chain: &AdderChain,
     profile: &InputProfile<T>,
 ) -> Result<ExhaustiveReport<T>, SimError> {
-    let width = validate(chain, profile)?;
-    if width < BITSLICE_MIN_WIDTH {
-        return Ok(scalar_sweep(chain, profile));
-    }
-    let backend = sweep_backend(None, width);
-    let compiled = CompiledChain::compile(chain);
-    let tables = WeightTables::build(profile);
-    let partial = dispatch(
-        backend,
-        SweepWorker {
-            compiled: &compiled,
-            tables: &tables,
-            a_range: 0..1u64 << width,
-        },
-    );
-    Ok(finish(vec![partial], width))
+    exhaustive_with_backend(chain, profile, 1, None)
 }
 
-/// Narrows the requested (or detected) backend so one lane chunk never
-/// exceeds the `2^width` `b` values of a single operand sweep.
-fn sweep_backend(backend: Option<Backend>, width: usize) -> Backend {
-    backend
-        .unwrap_or_else(Backend::active)
-        .narrowed_to_lanes(1usize << width.min(63))
-}
-
-/// [`exhaustive`] parallelized over contiguous `a` ranges with
-/// `std::thread::scope`; partial results are merged in range order, so the
-/// outcome is deterministic and — for exact probability types such as
-/// `Rational` — bit-for-bit identical to the serial run for any `threads`.
+/// [`exhaustive`] split into `threads` contiguous `a` ranges (clamped to
+/// `1..=64` and to the `2^N` operand values), which run through
+/// [`fan_out`] on at most the host's parallelism. The partial results are
+/// merged in range order, so the outcome is deterministic per `threads`
+/// and — for exact probability types such as `Rational` — bit-for-bit
+/// identical to the serial run for any `threads`.
 ///
-/// `threads` is clamped to `1..=64`; pass
-/// [`default_threads()`](crate::default_threads) to use every available
-/// core. Widths below 6 bits fall back to the (single-threaded) scalar
-/// engine — the whole sweep is microseconds there.
+/// Pass [`default_threads()`](crate::default_threads) to use every
+/// available core. Widths below 6 bits fall back to the (single-threaded)
+/// scalar engine — the whole sweep is microseconds there.
 ///
 /// # Errors
 ///
@@ -232,41 +211,26 @@ pub fn exhaustive_with_backend<T: Prob + Send + Sync>(
     if width < BITSLICE_MIN_WIDTH {
         return Ok(scalar_sweep(chain, profile));
     }
-    let backend = sweep_backend(backend, width);
+    // One lane chunk must not exceed the `2^width` `b` values of a single
+    // operand sweep.
+    let backend = backend
+        .unwrap_or_else(Backend::active)
+        .narrowed_to_lanes(1usize << width);
     let operand_count = 1u64 << width;
-    let threads = (threads.clamp(1, 64) as u64).min(operand_count);
+    let ranges = (threads.clamp(1, 64) as u64).min(operand_count);
+    let bound = |range: u64| operand_count / ranges * range + (operand_count % ranges).min(range);
     let compiled = CompiledChain::compile(chain);
     let tables = WeightTables::build(profile);
-    let worker = |a_range: Range<u64>| {
+    let partials = fan_out(ranges as usize, threads, |range| {
+        let range = range as u64;
         dispatch(
             backend,
             SweepWorker {
                 compiled: &compiled,
                 tables: &tables,
-                a_range,
+                a_range: bound(range)..bound(range + 1),
             },
         )
-    };
-    if threads == 1 {
-        let partial = worker(0..operand_count);
-        return Ok(finish(vec![partial], width));
-    }
-    let bounds: Vec<u64> = (0..=threads)
-        .map(|t| operand_count / threads * t + (operand_count % threads).min(t))
-        .collect();
-    let partials = std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds
-            .windows(2)
-            .map(|w| {
-                let (lo, hi) = (w[0], w[1]);
-                let worker = &worker;
-                scope.spawn(move || worker(lo..hi))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep workers do not panic"))
-            .collect::<Vec<_>>()
     });
     Ok(finish(partials, width))
 }

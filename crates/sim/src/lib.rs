@@ -14,7 +14,10 @@
 //! Both regimes run on a bitsliced (SWAR) engine that evaluates 64 input
 //! vectors per pass through `sealpaa_cells::CompiledChain`, and the
 //! exhaustive sweep additionally parallelizes over operand ranges
-//! ([`exhaustive_with`]) with an order-deterministic merge. The original
+//! ([`exhaustive_with`]) with an order-deterministic merge. Both split
+//! their work into deterministic parts (sample streams, operand ranges)
+//! and run them through [`fan_out`], the one thread policy that trace
+//! replay and the design-space searches share. The original
 //! one-case-at-a-time engines stay available as [`exhaustive_scalar`] and
 //! [`monte_carlo_scalar`] — they are the differential-test oracles and the
 //! benchmark baselines.
@@ -45,6 +48,7 @@
 mod exhaustive;
 mod metrics;
 mod monte_carlo;
+mod parallel;
 mod rng;
 mod sampler;
 
@@ -54,19 +58,9 @@ pub use exhaustive::{
 };
 pub use metrics::ErrorMetrics;
 pub use monte_carlo::{monte_carlo, monte_carlo_scalar, MonteCarloConfig, MonteCarloReport};
+pub use parallel::{default_threads, fan_out};
 pub use rng::{quantize_p53, SplitMix64, Xoshiro256pp};
 pub use sampler::{plan_kind, PlanKind, PooledSampler, SamplerSummary, WideXoshiro};
 // Re-exported so simulation callers can pick a kernel backend without
 // depending on `sealpaa-cells` directly.
 pub use sealpaa_cells::Backend;
-
-/// The number of worker threads to use by default: the machine's available
-/// parallelism, or 1 if it cannot be determined. CLI and server entry
-/// points use this; the library-level [`MonteCarloConfig`] default stays at
-/// 1 so that embedding code gets identical sample streams everywhere unless
-/// it opts in (results are deterministic per `(seed, threads)` pair).
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}

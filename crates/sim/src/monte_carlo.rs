@@ -24,6 +24,7 @@ use sealpaa_num::Prob;
 
 use crate::exhaustive::SimError;
 use crate::metrics::{ErrorMetrics, MetricsAccumulator};
+use crate::parallel::fan_out;
 use crate::rng::{quantize_p53, Xoshiro256pp};
 use crate::sampler::PooledSampler;
 
@@ -40,9 +41,12 @@ pub struct MonteCarloConfig {
     pub samples: u64,
     /// RNG seed (deterministic by default for reproducible tables).
     pub seed: u64,
-    /// Worker threads. Results are deterministic for a given
-    /// `(seed, threads, backend)` triple (each worker derives its own
-    /// seed), so keep `threads` fixed when comparing runs.
+    /// Sample streams, clamped to `1..=64`. The samples are split into
+    /// this many streams, each with a seed derived from `seed` and its
+    /// index, and the streams run on at most the host's parallelism (see
+    /// [`fan_out`]). Results are deterministic for a given
+    /// `(seed, threads, backend)` triple, so keep `threads` fixed when
+    /// comparing runs.
     pub threads: usize,
     /// SIMD backend for the bitsliced engine, or `None` to use
     /// [`Backend::active`] (runtime detection, overridable through the
@@ -122,38 +126,36 @@ fn report_from(acc: MetricsAccumulator, error_samples: u64, samples: u64) -> Mon
     }
 }
 
-fn spawn_workers<F>(threads: u64, run_chunk: F) -> (MetricsAccumulator, u64)
-where
-    F: Fn(u64) -> (MetricsAccumulator, u64) + Sync,
-{
+/// Splits `config.samples` into `config.threads` sample streams (clamped
+/// to `1..=64`), each with its own seed, and runs them through [`fan_out`].
+/// `stream(samples, seed)` draws one stream. The streams are merged in
+/// stream order, so the report depends on `(seed, threads)` but not on how
+/// many OS threads ran the streams.
+fn run_streams(
+    config: MonteCarloConfig,
+    stream: impl Fn(u64, u64) -> (MetricsAccumulator, u64) + Sync,
+) -> MonteCarloReport {
+    let streams = config.threads.clamp(1, 64);
+    let base = config.samples / streams as u64;
+    let extra = config.samples % streams as u64;
+    let results = fan_out(streams, streams, |index| {
+        let index = index as u64;
+        // SplitMix-style per-stream seed derivation keeps streams disjoint.
+        let seed = config
+            .seed
+            .wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        stream(base + u64::from(index < extra), seed)
+    });
     let mut acc = MetricsAccumulator::default();
     let mut error_samples = 0u64;
-    if threads == 1 {
-        let (a, e) = run_chunk(0);
-        acc = a;
-        error_samples = e;
-    } else {
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let run_chunk = &run_chunk;
-                    scope.spawn(move || run_chunk(w))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker threads do not panic"))
-                .collect::<Vec<_>>()
-        });
-        for (chunk_acc, chunk_errors) in results {
-            acc.merge(chunk_acc);
-            error_samples += chunk_errors;
-        }
+    for (stream_acc, stream_errors) in results {
+        acc.merge(stream_acc);
+        error_samples += stream_errors;
     }
-    (acc, error_samples)
+    report_from(acc, error_samples, config.samples)
 }
 
-/// One worker's share of a bitsliced Monte-Carlo run, dispatched to the
+/// One sample stream of a bitsliced Monte-Carlo run, dispatched to the
 /// selected backend's word type.
 struct McWorker<'a> {
     compiled: &'a CompiledChain,
@@ -264,15 +266,7 @@ pub fn monte_carlo<T: Prob>(
         .collect();
     let q_cin = quantize_p53(profile.p_cin().to_f64());
 
-    let threads = config.threads.clamp(1, 64) as u64;
-    let base = config.samples / threads;
-    let extra = config.samples % threads;
-    let run_chunk = |worker: u64| -> (MetricsAccumulator, u64) {
-        let samples = base + u64::from(worker < extra);
-        // SplitMix-style per-worker seed derivation keeps streams disjoint.
-        let seed = config
-            .seed
-            .wrapping_add(worker.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    Ok(run_streams(config, |samples, seed| {
         dispatch(
             backend,
             McWorker {
@@ -284,10 +278,7 @@ pub fn monte_carlo<T: Prob>(
                 seed,
             },
         )
-    };
-
-    let (acc, error_samples) = spawn_workers(threads, run_chunk);
-    Ok(report_from(acc, error_samples, config.samples))
+    }))
 }
 
 /// The scalar reference engine: one sample at a time, one truth-table walk
@@ -311,15 +302,7 @@ pub fn monte_carlo_scalar<T: Prob>(
     let pb: Vec<f64> = (0..width).map(|i| profile.pb(i).to_f64()).collect();
     let p_cin = profile.p_cin().to_f64();
 
-    let threads = config.threads.clamp(1, 64) as u64;
-    let base = config.samples / threads;
-    let extra = config.samples % threads;
-    let run_chunk = |worker: u64| -> (MetricsAccumulator, u64) {
-        let samples = base + u64::from(worker < extra);
-        // SplitMix-style per-worker seed derivation keeps streams disjoint.
-        let seed = config
-            .seed
-            .wrapping_add(worker.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    Ok(run_streams(config, |samples, seed| {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let mut acc = MetricsAccumulator::default();
         let mut errors = 0u64;
@@ -343,10 +326,7 @@ pub fn monte_carlo_scalar<T: Prob>(
             acc.record(1.0, approx.error_distance(exact));
         }
         (acc, errors)
-    };
-
-    let (acc, error_samples) = spawn_workers(threads, run_chunk);
-    Ok(report_from(acc, error_samples, config.samples))
+    }))
 }
 
 #[cfg(test)]

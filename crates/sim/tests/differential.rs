@@ -17,8 +17,8 @@
 use sealpaa_cells::{AdderChain, InputProfile, StandardCell};
 use sealpaa_num::Rational;
 use sealpaa_sim::{
-    exhaustive, exhaustive_scalar, exhaustive_with, monte_carlo, monte_carlo_scalar,
-    MonteCarloConfig,
+    exhaustive, exhaustive_scalar, exhaustive_with, exhaustive_with_backend, monte_carlo,
+    monte_carlo_scalar, Backend, MonteCarloConfig,
 };
 
 /// A hybrid chain mixing several approximate cells with accurate stages —
@@ -231,4 +231,124 @@ fn both_monte_carlo_engines_agree_statistically() {
         fast.metrics.mean_absolute_error_distance,
         slow.metrics.mean_absolute_error_distance
     );
+}
+
+/// Per-bit operand probabilities that differ at every bit, so the sweep
+/// takes its per-lane weighting path.
+fn skewed_profile() -> InputProfile<f64> {
+    InputProfile::new(
+        (1..=8).map(|i| f64::from(i) / 10.0).collect(),
+        (1..=8).map(|i| 0.85 - f64::from(i) / 12.0).collect(),
+        0.3,
+    )
+    .expect("valid profile")
+}
+
+#[test]
+fn monte_carlo_streams_keep_their_recorded_bits() {
+    // Recorded before the engines moved onto `fan_out`: the sample streams
+    // fix every bit, and the OS threads that run them must not. 64 streams
+    // run on at most the host's parallelism.
+    // (threads, error samples, P(error), MED bias, MED, max |ED|, std error)
+    let pins: [(usize, u64, u64, u64, u64, u64, u64); 3] = [
+        (
+            1,
+            86675,
+            0x3febbc33f768ad86,
+            0x404407e858a7bf24,
+            0x404ca6d91e091bb3,
+            211,
+            0x3f519bda74fb3456,
+        ),
+        (
+            3,
+            86809,
+            0x3febc72e10d9733b,
+            0x4043f0cbef08677b,
+            0x404c903b2f77f9d6,
+            211,
+            0x3f518899cb19fc6f,
+        ),
+        (
+            64,
+            86762,
+            0x3febc3546f17263e,
+            0x4043e8e29aba14b0,
+            0x404c92aeac7e248d,
+            211,
+            0x3f518f5ef48954b5,
+        ),
+    ];
+    for (threads, errors, p, bias, med, max, se) in pins {
+        let config = MonteCarloConfig {
+            samples: 100_003,
+            seed: 0x05EA_1DAC,
+            threads,
+            backend: Some(Backend::U64),
+        };
+        let r = monte_carlo(&hybrid_chain(), &skewed_profile(), config).expect("valid");
+        let m = r.metrics;
+        assert_eq!(
+            (
+                r.error_samples,
+                m.error_probability.to_bits(),
+                m.mean_error_distance.to_bits(),
+                m.mean_absolute_error_distance.to_bits(),
+                m.max_absolute_error_distance,
+                r.standard_error.to_bits(),
+            ),
+            (errors, p, bias, med, max, se),
+            "threads {threads}"
+        );
+    }
+}
+
+#[test]
+fn f64_sweep_ranges_keep_their_recorded_bits() {
+    // Recorded before the sweep moved onto `fan_out`. The f64 sums differ
+    // in the last ulp between one and three `a` ranges; each range count
+    // must keep its own bits.
+    // (threads, P(error), MED bias, MED, max |ED|, output P, stage P)
+    let pins: [(usize, u64, u64, u64, u64, u64, u64); 2] = [
+        (
+            1,
+            0x3febc153e2f61048,
+            0x4043f0b4e34e0349,
+            0x404c9f798f224f9a,
+            211,
+            0x3febc153e2f61042,
+            0x3febc153e2f61041,
+        ),
+        (
+            3,
+            0x3febc153e2f61044,
+            0x4043f0b4e34e034a,
+            0x404c9f798f224f97,
+            211,
+            0x3febc153e2f6103f,
+            0x3febc153e2f6103f,
+        ),
+    ];
+    for (threads, p, bias, med, max, output, stage) in pins {
+        let r = exhaustive_with_backend(
+            &hybrid_chain(),
+            &skewed_profile(),
+            threads,
+            Some(Backend::U64),
+        )
+        .expect("feasible");
+        let m = r.metrics;
+        assert_eq!(
+            (
+                m.error_probability.to_bits(),
+                m.mean_error_distance.to_bits(),
+                m.mean_absolute_error_distance.to_bits(),
+                m.max_absolute_error_distance,
+                r.output_error_probability.to_bits(),
+                r.stage_error_probability.to_bits(),
+            ),
+            (p, bias, med, max, output, stage),
+            "threads {threads}"
+        );
+    }
 }

@@ -29,6 +29,7 @@ use sealpaa_cells::{
     dispatch, error_magnitudes, AdderChain, Backend, CompiledChain, CompiledKernel, FaInput,
     SimdKernel, SimdWord, TruthTable,
 };
+use sealpaa_sim::fan_out;
 
 use crate::format::TraceRecord;
 use crate::planes::RecordPlanes;
@@ -159,15 +160,6 @@ impl ReplayReport {
     }
 }
 
-/// The machine's available parallelism (1 if undeterminable). Replay is
-/// thread-count invariant, so clamping worker counts here changes nothing
-/// but scheduling overhead.
-fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 fn check_width(chain: &AdderChain) -> Result<u64, ReplayError> {
     let width = chain.width();
     if width > MAX_REPLAY_WIDTH {
@@ -291,11 +283,12 @@ fn replay_span<W: SimdWord>(kernel: &CompiledKernel<W>, records: &[TraceRecord])
     report
 }
 
-/// Replays a trace through the bitsliced kernels, optionally on several
-/// worker threads. The result is bit-for-bit identical for every thread
-/// count and SIMD backend (integer accumulation over an order-independent
-/// merge) and to [`replay_scalar`]. Operand bits above the chain width are
-/// ignored.
+/// Replays a trace through the bitsliced kernels, split into `threads`
+/// contiguous spans (clamped to `1..=64`) that run through [`fan_out`] on
+/// at most the host's parallelism. The result is bit-for-bit identical for
+/// every thread count and SIMD backend (integer accumulation over an
+/// order-independent merge) and to [`replay_scalar`]. Operand bits above
+/// the chain width are ignored.
 ///
 /// # Errors
 ///
@@ -327,46 +320,23 @@ pub fn replay_with_backend(
     let backend = backend.unwrap_or_else(Backend::active);
     let compiled = CompiledChain::compile(chain);
     let batches = records.len().div_ceil(64);
-    // Replay is thread-count invariant, so oversubscribing past the
-    // machine's cores can only add scheduling overhead (the `_t4 > _t1`
-    // regression in BENCH_trace.json) — clamp to available parallelism.
-    let threads = threads
-        .clamp(1, 64)
-        .min(available_threads())
-        .min(batches.max(1));
-    let worker = |span: &[TraceRecord]| {
+    let spans = threads.clamp(1, 64).min(batches.max(1));
+    // Contiguous 64-record-aligned spans, merged in span order.
+    let reports = fan_out(spans, threads, |span| {
+        let lo = (span * batches / spans) * 64;
+        let hi = (((span + 1) * batches / spans) * 64).min(records.len());
         dispatch(
             backend,
             ReplayWorker {
                 compiled: &compiled,
-                records: span,
+                records: &records[lo..hi],
             },
         )
-    };
-    if threads == 1 {
-        return Ok(worker(records));
-    }
-    // Contiguous 64-record-aligned spans per worker, merged in span order.
-    let spans: Vec<&[TraceRecord]> = (0..threads)
-        .map(|t| {
-            let lo = (t * batches / threads) * 64;
-            let hi = (((t + 1) * batches / threads) * 64).min(records.len());
-            &records[lo..hi]
-        })
-        .collect();
-    let mut report = ReplayReport::empty(chain.width());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = spans
-            .into_iter()
-            .map(|span| {
-                let worker = &worker;
-                scope.spawn(move || worker(span))
-            })
-            .collect();
-        for handle in handles {
-            report.absorb(&handle.join().expect("replay worker panicked"));
-        }
     });
+    let mut report = ReplayReport::empty(chain.width());
+    for span in &reports {
+        report.absorb(span);
+    }
     Ok(report)
 }
 

@@ -18,6 +18,19 @@ run() {
     "$@"
 }
 
+# One thread policy: every parallel engine fans out through
+# `sealpaa_sim::fan_out`, the only code that starts scoped threads or asks
+# the host for its parallelism. A fan-out or a probe in any other crate
+# source fails here. (The host block's `available_parallelism` key is a
+# name, not a call, so the pattern matches calls and paths only.)
+echo
+echo "==> one fan-out: no thread::scope or available_parallelism outside crates/sim/src/parallel.rs"
+if grep -rnE 'thread::(scope|available_parallelism)|available_parallelism\(' crates/*/src |
+    grep -v '^crates/sim/src/parallel.rs:'; then
+    echo "ci: a fan-out or parallelism probe outside sealpaa_sim::fan_out" >&2
+    exit 1
+fi
+
 if [[ $quick -eq 0 ]]; then
     run cargo build --release
     # Examples are documentation that compiles: build them all in the same
