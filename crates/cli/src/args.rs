@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use sealpaa_cells::{Cell, InputProfile, StandardCell, TruthTable};
 use sealpaa_explore::accurate_cell_with_proxy_costs;
 use sealpaa_num::Rational;
+use sealpaa_sim::default_threads;
 
 use crate::error::CliError;
 
@@ -160,6 +161,19 @@ pub fn parse_optional<T: std::str::FromStr>(
                 .map_err(|_| CliError::usage(format!("--{key}: cannot parse {raw:?}")))
         })
         .transpose()
+}
+
+/// `--threads` for the parallel commands, defaulting to the host's
+/// available parallelism.
+///
+/// # Errors
+///
+/// Fails if the option is present but unparseable, or 0.
+pub fn parse_threads(args: &ParsedArgs) -> Result<usize, CliError> {
+    match args.get_or("threads", default_threads())? {
+        0 => Err(CliError::usage("--threads must be at least 1")),
+        threads => Ok(threads),
+    }
 }
 
 /// Builds the per-bit input profile from `--width`, plus either a constant

@@ -8,9 +8,8 @@ use sealpaa_explore::{
     best_block_design, block_pareto_front, enumerate_block_designs, BlockBudget, BlockObjective,
     BlockSearchSpace,
 };
-use sealpaa_sim::default_threads;
 
-use crate::args::{parse_candidates, parse_optional, parse_profile, ParsedArgs};
+use crate::args::{parse_candidates, parse_optional, parse_profile, parse_threads, ParsedArgs};
 use crate::error::CliError;
 
 const HELP: &str = "\
@@ -198,7 +197,7 @@ fn sweep<W: Write>(tokens: &[String], out: &mut W, pareto: bool) -> Result<(), C
             )))
         }
     };
-    let threads = args.get_or("threads", default_threads())?;
+    let threads = parse_threads(&args)?;
 
     writeln!(
         out,

@@ -6,10 +6,9 @@ use std::io::Write;
 use sealpaa_datapath::{Datapath, Signal};
 use sealpaa_explore::{best_datapath_assignment, Budget};
 use sealpaa_propagate::{check_against_monte_carlo, fit_and_check, predict, topologies};
-use sealpaa_sim::default_threads;
 use sealpaa_trace::{generate, SynthKind};
 
-use crate::args::{parse_candidates, parse_cell, parse_optional, ParsedArgs};
+use crate::args::{parse_candidates, parse_cell, parse_optional, parse_threads, ParsedArgs};
 use crate::error::CliError;
 use crate::json::Json;
 
@@ -364,7 +363,7 @@ fn optimize<W: Write>(tokens: &[String], out: &mut W) -> Result<(), CliError> {
         max_power_nw: parse_optional(&args, "budget-power")?,
         max_area_ge: parse_optional(&args, "budget-area")?,
     };
-    let threads = args.get_or("threads", default_threads())?;
+    let threads = parse_threads(&args)?;
     let refs = as_refs(&inputs);
     let best = best_datapath_assignment(&dp, output, &refs, &candidates, &budget, threads)
         .map_err(CliError::analysis)?;

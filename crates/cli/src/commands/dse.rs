@@ -5,9 +5,8 @@ use std::io::Write;
 use sealpaa_explore::{
     exhaustive_best_with, exhaustive_designs, local_search_best, pareto_front, Budget,
 };
-use sealpaa_sim::default_threads;
 
-use crate::args::{parse_candidates, parse_optional, parse_profile, ParsedArgs};
+use crate::args::{parse_candidates, parse_optional, parse_profile, parse_threads, ParsedArgs};
 use crate::error::CliError;
 
 const HELP: &str = "\
@@ -66,6 +65,7 @@ pub fn run<W: Write>(tokens: &[String], out: &mut W) -> Result<(), CliError> {
         max_power_nw: parse_optional(&args, "budget-power")?,
         max_area_ge: parse_optional(&args, "budget-area")?,
     };
+    let threads = parse_threads(&args)?;
 
     writeln!(
         out,
@@ -76,7 +76,6 @@ pub fn run<W: Write>(tokens: &[String], out: &mut W) -> Result<(), CliError> {
             .collect::<Vec<_>>()
             .join(", ")
     )?;
-    let threads = args.get_or("threads", default_threads())?;
     let best = if args.flag("local") {
         local_search_best(&candidates, &profile, &budget).map_err(CliError::analysis)?
     } else {

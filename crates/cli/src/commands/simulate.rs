@@ -3,11 +3,9 @@
 use std::io::Write;
 
 use sealpaa_cells::AdderChain;
-use sealpaa_sim::{
-    default_threads, exhaustive_with_backend, monte_carlo, Backend, MonteCarloConfig,
-};
+use sealpaa_sim::{exhaustive_with_backend, monte_carlo, Backend, MonteCarloConfig};
 
-use crate::args::{parse_chain_cells, parse_profile, ParsedArgs};
+use crate::args::{parse_chain_cells, parse_profile, parse_threads, ParsedArgs};
 use crate::error::CliError;
 
 const HELP: &str = "\
@@ -56,9 +54,9 @@ pub fn run<W: Write>(tokens: &[String], out: &mut W) -> Result<(), CliError> {
     }
     let chain = AdderChain::from_stages(parse_chain_cells(&args, width)?);
     let profile = parse_profile(&args, width)?;
+    let threads = parse_threads(&args)?;
     writeln!(out, "adder: {chain}")?;
 
-    let threads = args.get_or("threads", default_threads())?;
     let backend = match args.option("backend") {
         Some(name) => Some(
             name.parse::<Backend>()

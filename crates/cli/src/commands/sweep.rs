@@ -3,9 +3,8 @@
 use std::io::Write;
 
 use sealpaa_explore::{accurate_cell_with_proxy_costs, lsb_sweep, lsb_sweep_verified};
-use sealpaa_sim::default_threads;
 
-use crate::args::{parse_cell, parse_profile, ParsedArgs};
+use crate::args::{parse_cell, parse_profile, parse_threads, ParsedArgs};
 use crate::error::CliError;
 
 const HELP: &str = "\
@@ -52,6 +51,7 @@ pub fn run<W: Write>(tokens: &[String], out: &mut W) -> Result<(), CliError> {
             .ok_or_else(|| CliError::usage("--cell is required"))?,
     )?;
     let profile = parse_profile(&args, width)?;
+    let threads = parse_threads(&args)?;
 
     writeln!(
         out,
@@ -59,7 +59,6 @@ pub fn run<W: Write>(tokens: &[String], out: &mut W) -> Result<(), CliError> {
         cell.name()
     )?;
     if args.flag("verify") {
-        let threads = args.get_or("threads", default_threads())?;
         let points = lsb_sweep_verified(
             cell.clone(),
             accurate_cell_with_proxy_costs(),

@@ -9,7 +9,7 @@ use sealpaa_trace::{
     NdjsonReader, SynthKind, TraceError, TraceRecord, TraceStats, VarId,
 };
 
-use crate::args::{parse_chain_cells, ParsedArgs};
+use crate::args::{parse_chain_cells, parse_threads, ParsedArgs};
 use crate::error::CliError;
 
 const HELP: &str = "\
@@ -224,7 +224,7 @@ fn parse_chain_and_threads(
     width: usize,
 ) -> Result<(AdderChain, usize), CliError> {
     let chain = AdderChain::from_stages(parse_chain_cells(args, width)?);
-    let threads: usize = args.get_or("threads", sealpaa_sim::default_threads())?;
+    let threads = parse_threads(args)?;
     Ok((chain, threads))
 }
 

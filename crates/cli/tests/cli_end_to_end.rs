@@ -371,6 +371,40 @@ fn simulate_refuses_chains_past_the_monte_carlo_limit() {
 }
 
 #[test]
+fn worst_case_names_its_width_limit() {
+    let (stdout, stderr, code) = sealpaa(&[
+        "magnitude",
+        "--width",
+        "64",
+        "--cell",
+        "lpaa1",
+        "--worst-case",
+    ]);
+    assert_eq!(code, Some(2), "{stdout}");
+    assert_eq!(
+        stderr,
+        "analysis failed: 64-bit adders are refused: this analysis supports at most 63 bits\n"
+    );
+}
+
+#[test]
+fn every_parallel_command_refuses_zero_threads() {
+    for command in [
+        "simulate --width 4 --cell lpaa1 --samples 1000",
+        "dse --width 3",
+        "blocks sweep --width 4",
+        "datapath optimize",
+        "trace replay --synth uniform --width 4 --cell lpaa1",
+        "sweep --width 4 --cell lpaa1",
+    ] {
+        let args: Vec<&str> = command.split(' ').chain(["--threads", "0"]).collect();
+        let (_, stderr, code) = sealpaa(&args);
+        assert_eq!(code, Some(2), "{command}");
+        assert_eq!(stderr, "--threads must be at least 1\n", "{command}");
+    }
+}
+
+#[test]
 fn multiplier_command_runs() {
     let (stdout, _, code) = sealpaa(&[
         "multiplier",

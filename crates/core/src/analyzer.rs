@@ -6,10 +6,11 @@ use sealpaa_cells::{AdderChain, InputProfile, TruthTable};
 use sealpaa_num::Prob;
 
 use crate::carry::CarryState;
+use crate::joint::check_width;
 use crate::matrices::{Ipm, MklMatrices};
 use crate::ops::OpCounts;
 
-/// Errors produced by [`analyze`].
+/// Errors produced by [`analyze`] and the crate's other analyses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AnalyzeError {
     /// The input profile covers a different number of bits than the chain
@@ -20,6 +21,13 @@ pub enum AnalyzeError {
         /// Number of bits in the input profile.
         profile: usize,
     },
+    /// The chain is wider than the analysis accepts.
+    WidthTooLarge {
+        /// Requested adder width.
+        width: usize,
+        /// Widest adder the analysis accepts.
+        max: usize,
+    },
 }
 
 impl fmt::Display for AnalyzeError {
@@ -28,6 +36,10 @@ impl fmt::Display for AnalyzeError {
             AnalyzeError::WidthMismatch { chain, profile } => write!(
                 f,
                 "adder chain has {chain} stages but input profile covers {profile} bits"
+            ),
+            AnalyzeError::WidthTooLarge { width, max } => write!(
+                f,
+                "{width}-bit adders are refused: this analysis supports at most {max} bits"
             ),
         }
     }
@@ -204,12 +216,7 @@ fn analyze_inner<T: Prob>(
     profile: &InputProfile<T>,
     ops: &mut OpCounts,
 ) -> Result<Analysis<T>, AnalyzeError> {
-    if chain.width() != profile.width() {
-        return Err(AnalyzeError::WidthMismatch {
-            chain: chain.width(),
-            profile: profile.width(),
-        });
-    }
+    check_width(chain, profile)?;
     let mut carry = CarryState::initial(profile.p_cin());
     ops.complements += 1;
     let mut stages = Vec::with_capacity(chain.width());

@@ -4,7 +4,8 @@
 //! Where [`error_magnitude`](crate::error_magnitude) gives the first two
 //! moments in O(N), this module computes the *entire* probability mass
 //! function `P(approx − exact = d)` by a sparse dynamic program over the
-//! joint carry state. The support of the partial error grows with the
+//! joint carry state, stepped by the crate's one joint-carry transition
+//! (`joint.rs`). The support of the partial error grows with the
 //! width (it is a subset of `(−2^N, 2^N)`), so this is reserved for the
 //! moderate widths where a full histogram is actually interpretable.
 //!
@@ -14,10 +15,11 @@
 
 use std::collections::BTreeMap;
 
-use sealpaa_cells::{AdderChain, FaInput, InputProfile, TruthTable};
+use sealpaa_cells::{AdderChain, InputProfile};
 use sealpaa_num::Prob;
 
 use crate::analyzer::AnalyzeError;
+use crate::joint::{carry_sign, check_width, pair_factors, rows, START, STATES};
 
 /// Widest chain [`error_distribution`] accepts; beyond this the support can
 /// reach millions of points and the histogram stops being useful.
@@ -165,11 +167,8 @@ fn unsigned_scale<T: Prob>(mag: u128) -> T {
 /// # Errors
 ///
 /// Returns [`AnalyzeError::WidthMismatch`] if `profile` does not match the
-/// chain.
-///
-/// # Panics
-///
-/// Panics if `chain.width() > MAX_DISTRIBUTION_WIDTH`.
+/// chain, and [`AnalyzeError::WidthTooLarge`] if `chain.width()` exceeds
+/// [`MAX_DISTRIBUTION_WIDTH`].
 ///
 /// # Examples
 ///
@@ -189,44 +188,37 @@ pub fn error_distribution<T: Prob>(
     chain: &AdderChain,
     profile: &InputProfile<T>,
 ) -> Result<ErrorDistribution<T>, AnalyzeError> {
-    if chain.width() != profile.width() {
-        return Err(AnalyzeError::WidthMismatch {
-            chain: chain.width(),
-            profile: profile.width(),
+    check_width(chain, profile)?;
+    if chain.width() > MAX_DISTRIBUTION_WIDTH {
+        return Err(AnalyzeError::WidthTooLarge {
+            width: chain.width(),
+            max: MAX_DISTRIBUTION_WIDTH,
         });
     }
-    assert!(
-        chain.width() <= MAX_DISTRIBUTION_WIDTH,
-        "error_distribution supports up to {MAX_DISTRIBUTION_WIDTH} bits"
-    );
-    let accurate = TruthTable::accurate();
     // state[(joint carries)] -> partial error distance -> probability mass.
-    let mut states: Vec<BTreeMap<i64, T>> = vec![BTreeMap::new(); 4];
+    let mut states: Vec<BTreeMap<i64, T>> = vec![BTreeMap::new(); STATES];
     let p_cin = profile.p_cin();
     if !p_cin.is_zero() {
-        states[0b11].insert(0, p_cin.clone());
+        states[START[1]].insert(0, p_cin.clone());
     }
     if !p_cin.complement().is_zero() {
-        states[0b00].insert(0, p_cin.complement());
+        states[START[0]].insert(0, p_cin.complement());
     }
 
     for (i, cell) in chain.iter().enumerate() {
-        let mut next: Vec<BTreeMap<i64, T>> = vec![BTreeMap::new(); 4];
-        let weight_of = |bit: bool, p: &T| if bit { p.clone() } else { p.complement() };
-        for s in 0..4usize {
-            let c_approx = s & 1 == 1;
-            let c_acc = s & 2 == 2;
-            for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
-                let w = weight_of(a, profile.pa(i)) * weight_of(b, profile.pb(i));
+        let weights = pair_factors(profile, i).map(|(wa, wb)| wa * wb);
+        let mut next: Vec<BTreeMap<i64, T>> = vec![BTreeMap::new(); STATES];
+        for (s, dist) in states.iter().enumerate() {
+            if dist.is_empty() {
+                continue;
+            }
+            for (row, w) in rows(cell.truth_table(), s).iter().zip(&weights) {
                 if w.is_zero() {
                     continue;
                 }
-                let approx_out = cell.truth_table().eval(FaInput::new(a, b, c_approx));
-                let acc_out = accurate.eval(FaInput::new(a, b, c_acc));
-                let dv = (approx_out.sum as i64 - acc_out.sum as i64) << i;
-                let target = (approx_out.carry_out as usize) | (acc_out.carry_out as usize) << 1;
-                for (d, mass) in &states[s] {
-                    let entry = next[target].entry(d + dv).or_insert_with(T::zero);
+                let dv = i64::from(row.d) << i;
+                for (d, mass) in dist {
+                    let entry = next[row.next].entry(d + dv).or_insert_with(T::zero);
                     *entry = entry.clone() + w.clone() * mass.clone();
                 }
             }
@@ -238,11 +230,7 @@ pub fn error_distribution<T: Prob>(
     let carry_value = 1i64 << chain.width();
     let mut pmf: BTreeMap<i64, T> = BTreeMap::new();
     for (s, dist) in states.iter().enumerate() {
-        let dc = match (s & 1 == 1, s & 2 == 2) {
-            (true, false) => carry_value,
-            (false, true) => -carry_value,
-            _ => 0,
-        };
+        let dc = i64::from(carry_sign(s)) * carry_value;
         for (d, mass) in dist {
             if mass.is_zero() {
                 continue;
@@ -353,12 +341,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "supports up to")]
-    fn oversized_width_panics() {
+    fn oversized_width_rejected() {
         let w = MAX_DISTRIBUTION_WIDTH + 1;
         let chain = AdderChain::uniform(StandardCell::Lpaa1.cell(), w);
         let profile = InputProfile::<f64>::uniform(w);
-        let _ = error_distribution(&chain, &profile);
+        assert_eq!(
+            error_distribution(&chain, &profile),
+            Err(AnalyzeError::WidthTooLarge { width: 21, max: 20 })
+        );
     }
 
     fn dist() -> ErrorDistribution<Rational> {

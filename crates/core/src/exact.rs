@@ -14,17 +14,19 @@
 //! This module runs both chains (approximate and accurate) *jointly* as one
 //! Markov chain over the state
 //! `(approximate carry, accurate carry, output already corrupted, some stage
-//! deviated)`, which is exact, linear-time, and yields:
+//! deviated)`, stepping the carries with the crate's one joint-carry
+//! transition (`joint.rs`). It is exact, linear-time, and yields:
 //!
 //! * the true output-value error probability (cancellation included),
 //! * the paper's first-deviation error probability (for cross-validation
 //!   against [`analyze`](crate::analyze)), and
 //! * per-bit error rates of every sum bit.
 
-use sealpaa_cells::{AdderChain, FaInput, InputProfile, TruthTable};
+use sealpaa_cells::{AdderChain, InputProfile};
 use sealpaa_num::Prob;
 
 use crate::analyzer::AnalyzeError;
+use crate::joint::{carry_sign, check_width, pair_factors, rows, START};
 
 /// Results of the exact joint-chain DP.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,11 +44,10 @@ pub struct ExactErrorAnalysis<T> {
     pub bit_error: Vec<T>,
 }
 
-/// Joint DP state index: 2 bits of carry (approx, accurate) × output-dirty ×
-/// deviated = 16 states.
-fn state_index(c_approx: bool, c_acc: bool, dirty: bool, deviated: bool) -> usize {
-    (c_approx as usize) | (c_acc as usize) << 1 | (dirty as usize) << 2 | (deviated as usize) << 3
-}
+/// Output-dirty and deviated flags, above the two joint-carry bits of a DP
+/// state index: 4 × 2 × 2 = 16 states.
+const DIRTY: usize = 4;
+const DEVIATED: usize = 8;
 
 /// Runs the exact joint-chain analysis.
 ///
@@ -73,62 +74,37 @@ pub fn exact_error_analysis<T: Prob>(
     chain: &AdderChain,
     profile: &InputProfile<T>,
 ) -> Result<ExactErrorAnalysis<T>, AnalyzeError> {
-    if chain.width() != profile.width() {
-        return Err(AnalyzeError::WidthMismatch {
-            chain: chain.width(),
-            profile: profile.width(),
-        });
-    }
-    let accurate = TruthTable::accurate();
-    // state[s]: probability mass in joint state s.
+    check_width(chain, profile)?;
+    // state[s]: probability mass in DP state s.
     let mut state = vec![T::zero(); 16];
     let p_cin = profile.p_cin();
-    state[state_index(true, true, false, false)] = p_cin.clone();
-    state[state_index(false, false, false, false)] = p_cin.complement();
+    state[START[1]] = p_cin.clone();
+    state[START[0]] = p_cin.complement();
 
     let mut bit_error = Vec::with_capacity(chain.width());
     for (i, cell) in chain.iter().enumerate() {
+        let pairs = pair_factors(profile, i);
         let mut next = vec![T::zero(); 16];
         let mut sum_differs = T::zero();
         for s in 0..16 {
             if state[s].is_zero() {
                 continue;
             }
-            let c_approx = s & 1 == 1;
-            let c_acc = s & 2 == 2;
-            let dirty = s & 4 == 4;
-            let deviated = s & 8 == 8;
-            for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
-                let pa = if a {
-                    profile.pa(i).clone()
-                } else {
-                    profile.pa(i).complement()
-                };
-                let pb = if b {
-                    profile.pb(i).clone()
-                } else {
-                    profile.pb(i).complement()
-                };
-                let mass = state[s].clone() * pa * pb;
+            for (row, (wa, wb)) in rows(cell.truth_table(), s & 3).iter().zip(&pairs) {
+                // `(mass·w_a)·w_b`, not `mass·(w_a·w_b)`: the order fixes
+                // the f64 bits.
+                let mass = state[s].clone() * wa.clone() * wb.clone();
                 if mass.is_zero() {
                     continue;
                 }
-                let approx_out = cell.truth_table().eval(FaInput::new(a, b, c_approx));
-                let acc_out = accurate.eval(FaInput::new(a, b, c_acc));
-                let differs = approx_out.sum != acc_out.sum;
-                if differs {
+                let mut idx = row.next | (s & (DIRTY | DEVIATED));
+                if row.d != 0 {
                     sum_differs = sum_differs + mass.clone();
+                    idx |= DIRTY;
                 }
-                // "Deviated" is judged against the accurate carry chain, as
-                // in the paper's analysis.
-                let row_is_error = cell.truth_table().eval(FaInput::new(a, b, c_acc))
-                    != accurate.eval(FaInput::new(a, b, c_acc));
-                let idx = state_index(
-                    approx_out.carry_out,
-                    acc_out.carry_out,
-                    dirty || differs,
-                    deviated || row_is_error,
-                );
+                if row.deviates {
+                    idx |= DEVIATED;
+                }
                 next[idx] = next[idx].clone() + mass;
             }
         }
@@ -142,13 +118,10 @@ pub fn exact_error_analysis<T: Prob>(
         if state[s].is_zero() {
             continue;
         }
-        let carry_mismatch = (s & 1 == 1) != (s & 2 == 2);
-        let dirty = s & 4 == 4;
-        let deviated = s & 8 == 8;
-        if dirty || carry_mismatch {
+        if s & DIRTY != 0 || carry_sign(s & 3) != 0 {
             output_error = output_error + state[s].clone();
         }
-        if deviated {
+        if s & DEVIATED != 0 {
             stage_error = stage_error + state[s].clone();
         }
     }

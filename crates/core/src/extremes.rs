@@ -4,13 +4,18 @@
 //! bound different things: an application with a hard tolerance needs the
 //! largest error the adder can *ever* produce, over all inputs. Because the
 //! signed error distance decomposes per stage over the joint carry state,
-//! its exact minimum and maximum are computable by an O(N) DP — no
-//! enumeration, any width — together with *witness* operands that achieve
-//! them (reconstructed by backtracking the DP).
+//! its exact minimum and maximum are computable by an O(N) DP over the
+//! crate's one joint-carry transition (`joint.rs`) — no enumeration —
+//! together with *witness* operands that achieve them (reconstructed by
+//! backtracking the DP).
 
-use sealpaa_cells::{AdderChain, FaInput, TruthTable};
+use sealpaa_cells::AdderChain;
 
 use crate::analyzer::AnalyzeError;
+use crate::joint::{carry_sign, rows, START, STATES};
+
+/// Widest chain [`worst_case_error`] accepts: witnesses are `u64` operands.
+const MAX_WITNESS_WIDTH: usize = 63;
 
 /// Concrete operands achieving an extreme error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,21 +50,12 @@ impl WorstCaseError {
     }
 }
 
-/// One DP cell: the best partial error reachable in a joint carry state,
-/// plus the backtracking link (previous state and the stage's input bits).
-#[derive(Debug, Clone, Copy)]
-struct Cell {
-    parent: usize,
-    a: bool,
-    b: bool,
-}
-
 /// Computes the exact minimum and maximum signed error distance of the
 /// chain over **all** inputs, with witnesses.
 ///
 /// # Errors
 ///
-/// Returns [`AnalyzeError::WidthMismatch`] if `chain.width() > 63` (witness
+/// Returns [`AnalyzeError::WidthTooLarge`] if `chain.width() > 63` (witness
 /// operands are reconstructed into `u64`).
 ///
 /// # Examples
@@ -83,46 +79,36 @@ struct Cell {
 /// ```
 pub fn worst_case_error(chain: &AdderChain) -> Result<WorstCaseError, AnalyzeError> {
     let width = chain.width();
-    if width > 63 {
-        // Reuse the width-mismatch error shape: the chain exceeds what a
-        // u64 witness can encode.
-        return Err(AnalyzeError::WidthMismatch {
-            chain: width,
-            profile: 63,
+    if width > MAX_WITNESS_WIDTH {
+        return Err(AnalyzeError::WidthTooLarge {
+            width,
+            max: MAX_WITNESS_WIDTH,
         });
     }
-    let accurate = TruthTable::accurate();
 
-    // states: (approx carry) | (accurate carry) << 1; two runs, one
-    // maximizing and one minimizing.
+    // Two runs over the joint carry states, one maximizing and one
+    // minimizing.
     let run = |maximize: bool| -> (i128, Witness) {
         let bad = if maximize { i128::MIN } else { i128::MAX };
         let better = |a: i128, b: i128| if maximize { a > b } else { a < b };
-        // Per-stage DP tables for backtracking: table[stage][state].
-        let mut tables: Vec<[Option<Cell>; 4]> = Vec::with_capacity(width);
-        // Initial: cin = 0 → state 00; cin = 1 → state 11.
-        let mut current: [i128; 4] = [bad; 4];
-        current[0b00] = 0;
-        current[0b11] = 0;
+        // Per-stage backtracking links: table[stage][state] holds the
+        // previous state and the stage's operand bits.
+        let mut tables: Vec<[Option<(usize, bool, bool)>; STATES]> = Vec::with_capacity(width);
+        let mut current: [i128; STATES] = [bad; STATES];
+        current[START[0]] = 0;
+        current[START[1]] = 0;
         for (i, cell) in chain.iter().enumerate() {
-            let mut next: [i128; 4] = [bad; 4];
-            let mut links: [Option<Cell>; 4] = [None; 4];
+            let mut next: [i128; STATES] = [bad; STATES];
+            let mut links: [Option<(usize, bool, bool)>; STATES] = [None; STATES];
             for (s, &value) in current.iter().enumerate() {
                 if value == bad {
                     continue;
                 }
-                let c_approx = s & 1 == 1;
-                let c_acc = s & 2 == 2;
-                for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
-                    let approx_out = cell.truth_table().eval(FaInput::new(a, b, c_approx));
-                    let acc_out = accurate.eval(FaInput::new(a, b, c_acc));
-                    let dv = ((approx_out.sum as i128) - (acc_out.sum as i128)) << i;
-                    let target =
-                        (approx_out.carry_out as usize) | (acc_out.carry_out as usize) << 1;
-                    let candidate = value + dv;
-                    if next[target] == bad || better(candidate, next[target]) {
-                        next[target] = candidate;
-                        links[target] = Some(Cell { parent: s, a, b });
+                for row in rows(cell.truth_table(), s) {
+                    let candidate = value + (i128::from(row.d) << i);
+                    if next[row.next] == bad || better(candidate, next[row.next]) {
+                        next[row.next] = candidate;
+                        links[row.next] = Some((s, row.a, row.b));
                     }
                 }
             }
@@ -137,10 +123,7 @@ pub fn worst_case_error(chain: &AdderChain) -> Result<WorstCaseError, AnalyzeErr
             if value == bad {
                 continue;
             }
-            let c_approx = s & 1 == 1;
-            let c_acc = s & 2 == 2;
-            let dc = (c_approx as i128 - c_acc as i128) * carry_weight;
-            let total = value + dc;
+            let total = value + i128::from(carry_sign(s)) * carry_weight;
             if best_state == usize::MAX || better(total, best_value) {
                 best_state = s;
                 best_value = total;
@@ -151,17 +134,14 @@ pub fn worst_case_error(chain: &AdderChain) -> Result<WorstCaseError, AnalyzeErr
         let mut b = 0u64;
         let mut state = best_state;
         for i in (0..width).rev() {
-            let link = tables[i][state].expect("reachable states have backtracking links");
-            if link.a {
-                a |= 1 << i;
-            }
-            if link.b {
-                b |= 1 << i;
-            }
-            state = link.parent;
+            let (parent, bit_a, bit_b) =
+                tables[i][state].expect("reachable states have backtracking links");
+            a |= u64::from(bit_a) << i;
+            b |= u64::from(bit_b) << i;
+            state = parent;
         }
-        // The initial state encodes the carry-in (00 → 0, 11 → 1).
-        let carry_in = state == 0b11;
+        // The initial state encodes the carry-in.
+        let carry_in = state == START[1];
         (best_value, Witness { a, b, carry_in })
     };
 
@@ -275,6 +255,8 @@ mod tests {
     #[test]
     fn oversized_width_rejected() {
         let chain = AdderChain::uniform(StandardCell::Lpaa1.cell(), 64);
-        assert!(worst_case_error(&chain).is_err());
+        let refused = AnalyzeError::WidthTooLarge { width: 64, max: 63 };
+        assert_eq!(worst_case_error(&chain), Err(refused.clone()));
+        assert_eq!(worst_case_relative_error(&chain), Err(refused));
     }
 }

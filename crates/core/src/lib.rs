@@ -57,6 +57,7 @@ mod carry;
 mod distribution;
 mod exact;
 mod extremes;
+mod joint;
 mod magnitude;
 mod matrices;
 mod ops;

@@ -11,16 +11,18 @@
 //! ```
 //!
 //! are computable *exactly* in one linear pass with the same joint-carry
-//! Markov chain used by [`exact_error_analysis`](crate::exact_error_analysis):
+//! Markov chain used by [`exact_error_analysis`](crate::exact_error_analysis),
+//! stepped by the crate's one joint-carry transition (`joint.rs`):
 //! per joint carry state we carry the probability mass, the first moment
 //! `E[D_partial]`, and the second moment `E[D_partial²]` of the error
 //! accumulated so far; each stage's sum-bit discrepancy contributes
 //! `d·2^i` with `d ∈ {−1, 0, +1}`.
 
-use sealpaa_cells::{AdderChain, FaInput, InputProfile, TruthTable};
+use sealpaa_cells::{AdderChain, InputProfile};
 use sealpaa_num::Prob;
 
 use crate::analyzer::AnalyzeError;
+use crate::joint::{carry_sign, check_width, pair_factors, rows, START, STATES};
 
 /// Exact moments of the signed error distance of an approximate chain.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,9 +68,14 @@ impl<T: Prob> Moments<T> {
     }
 }
 
-/// Negates a value built from the non-negative [`Prob`] constructors.
-fn neg<T: Prob>(value: T) -> T {
-    T::zero() - value
+/// `sign · scale` for a sign in {−1, 0, +1}, built from the non-negative
+/// [`Prob`] constructors.
+fn signed<T: Prob>(sign: i8, scale: &T) -> T {
+    match sign {
+        0 => T::zero(),
+        1 => scale.clone(),
+        _ => T::zero() - scale.clone(),
+    }
 }
 
 /// Computes the exact first two moments of the signed error distance
@@ -102,53 +109,25 @@ pub fn error_magnitude<T: Prob>(
     chain: &AdderChain,
     profile: &InputProfile<T>,
 ) -> Result<MagnitudeAnalysis<T>, AnalyzeError> {
-    if chain.width() != profile.width() {
-        return Err(AnalyzeError::WidthMismatch {
-            chain: chain.width(),
-            profile: profile.width(),
-        });
-    }
-    let accurate = TruthTable::accurate();
-    // Joint state: (approximate carry, accurate carry) ∈ 4.
-    let mut states = vec![Moments::<T>::zero(); 4];
+    check_width(chain, profile)?;
+    let mut states = vec![Moments::<T>::zero(); STATES];
     let p_cin = profile.p_cin();
-    states[0b11].mass = p_cin.clone();
-    states[0b00].mass = p_cin.complement();
+    states[START[1]].mass = p_cin.clone();
+    states[START[0]].mass = p_cin.complement();
 
     let mut scale = T::one(); // 2^i, built by doubling
     for (i, cell) in chain.iter().enumerate() {
-        let mut next = vec![Moments::<T>::zero(); 4];
-        for s in 0..4usize {
-            if states[s].mass.is_zero() && states[s].first.is_zero() && states[s].second.is_zero() {
+        let weights = pair_factors(profile, i).map(|(wa, wb)| wa * wb);
+        let mut next = vec![Moments::<T>::zero(); STATES];
+        for (s, src) in states.iter().enumerate() {
+            if src.mass.is_zero() && src.first.is_zero() && src.second.is_zero() {
                 continue;
             }
-            let c_approx = s & 1 == 1;
-            let c_acc = s & 2 == 2;
-            for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
-                let pa = if a {
-                    profile.pa(i).clone()
-                } else {
-                    profile.pa(i).complement()
-                };
-                let pb = if b {
-                    profile.pb(i).clone()
-                } else {
-                    profile.pb(i).complement()
-                };
-                let w = pa * pb;
+            for (row, w) in rows(cell.truth_table(), s).iter().zip(&weights) {
                 if w.is_zero() {
                     continue;
                 }
-                let approx_out = cell.truth_table().eval(FaInput::new(a, b, c_approx));
-                let acc_out = accurate.eval(FaInput::new(a, b, c_acc));
-                let d = approx_out.sum as i8 - acc_out.sum as i8;
-                let dv = match d {
-                    0 => T::zero(),
-                    1 => scale.clone(),
-                    _ => neg(scale.clone()),
-                };
-                let target = (approx_out.carry_out as usize) | (acc_out.carry_out as usize) << 1;
-                let src = &states[s];
+                let dv = signed(row.d, &scale);
                 // D' = D + dv, so:
                 //   E[1]      += w·m
                 //   E[D']     += w·(F + dv·m)
@@ -156,13 +135,14 @@ pub fn error_magnitude<T: Prob>(
                 let add_mass = w.clone() * src.mass.clone();
                 let add_first = w.clone() * (src.first.clone() + dv.clone() * src.mass.clone());
                 let two_dv = dv.clone() + dv.clone();
-                let add_second = w
+                let add_second = w.clone()
                     * (src.second.clone()
                         + two_dv * src.first.clone()
                         + dv.clone() * dv * src.mass.clone());
-                next[target].mass = next[target].mass.clone() + add_mass;
-                next[target].first = next[target].first.clone() + add_first;
-                next[target].second = next[target].second.clone() + add_second;
+                let target = &mut next[row.next];
+                target.mass = target.mass.clone() + add_mass;
+                target.first = target.first.clone() + add_first;
+                target.second = target.second.clone() + add_second;
             }
         }
         states = next;
@@ -173,13 +153,7 @@ pub fn error_magnitude<T: Prob>(
     let mut mean = T::zero();
     let mut second = T::zero();
     for (s, m) in states.iter().enumerate() {
-        let c_approx = s & 1 == 1;
-        let c_acc = s & 2 == 2;
-        let dc = match (c_approx, c_acc) {
-            (true, false) => scale.clone(),
-            (false, true) => neg(scale.clone()),
-            _ => T::zero(),
-        };
+        let dc = signed(carry_sign(s), &scale);
         mean = mean + m.first.clone() + dc.clone() * m.mass.clone();
         let two_dc = dc.clone() + dc.clone();
         second =

@@ -12,6 +12,7 @@ use sealpaa_cells::{AdderChain, FaInput, InputProfile};
 use sealpaa_num::Prob;
 
 use crate::analyzer::AnalyzeError;
+use crate::joint::{check_width, pair_factors};
 
 /// Signal probabilities of every sum bit and carry of an approximate chain.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,35 +51,18 @@ pub fn signal_probabilities<T: Prob>(
     chain: &AdderChain,
     profile: &InputProfile<T>,
 ) -> Result<SignalAnalysis<T>, AnalyzeError> {
-    if chain.width() != profile.width() {
-        return Err(AnalyzeError::WidthMismatch {
-            chain: chain.width(),
-            profile: profile.width(),
-        });
-    }
+    check_width(chain, profile)?;
     let mut carry = vec![profile.p_cin().clone()];
     let mut sum = Vec::with_capacity(chain.width());
     for (i, cell) in chain.iter().enumerate() {
-        let p_carry = carry[i].clone();
+        let weights = pair_factors(profile, i).map(|(wa, wb)| wa * wb);
+        let p_carry = [carry[i].complement(), carry[i].clone()];
         let mut p_sum_one = T::zero();
         let mut p_carry_one = T::zero();
         for input in FaInput::all() {
-            let pa = if input.a {
-                profile.pa(i).clone()
-            } else {
-                profile.pa(i).complement()
-            };
-            let pb = if input.b {
-                profile.pb(i).clone()
-            } else {
-                profile.pb(i).complement()
-            };
-            let pc = if input.carry_in {
-                p_carry.clone()
-            } else {
-                p_carry.complement()
-            };
-            let row = pa * pb * pc;
+            // Row index (a, b, c_in): the pair is its top two bits.
+            let row =
+                weights[input.index() >> 1].clone() * p_carry[input.carry_in as usize].clone();
             let out = cell.truth_table().eval(input);
             if out.sum {
                 p_sum_one = p_sum_one + row.clone();
@@ -127,12 +111,7 @@ pub fn success_sum_probabilities<T: Prob>(
     use crate::matrices::{Ipm, MklMatrices};
     use crate::ops::OpCounts;
 
-    if chain.width() != profile.width() {
-        return Err(AnalyzeError::WidthMismatch {
-            chain: chain.width(),
-            profile: profile.width(),
-        });
-    }
+    check_width(chain, profile)?;
     let mut ops = OpCounts::default();
     let mut carry = CarryState::initial(profile.p_cin());
     let mut out = Vec::with_capacity(chain.width());

@@ -652,14 +652,29 @@ impl AdderSpec {
 impl SimulateSpec {
     fn from_json(doc: &Json) -> Result<SimulateSpec, String> {
         let adder = AdderSpec::from_json(doc)?;
-        let mode_name = doc.get("mode").and_then(Json::as_str);
-        let has_samples = doc.get("samples").is_some();
-        let mode = match (mode_name, has_samples) {
-            (Some("exhaustive"), false) => SimMode::Exhaustive,
-            (Some("exhaustive"), true) => {
-                return Err("\"samples\" is meaningless with mode \"exhaustive\"".to_owned())
+        let exhaustive = match doc.get("mode").and_then(Json::as_str) {
+            Some("exhaustive") => true,
+            Some("monte_carlo") => false,
+            None => doc.get("samples").is_none(),
+            Some(other) => {
+                return Err(format!(
+                    "unknown mode {other:?} (expected exhaustive or monte_carlo)"
+                ))
             }
-            (Some("monte_carlo"), _) | (None, true) => SimMode::MonteCarlo {
+        };
+        let mode = if exhaustive {
+            // The Monte-Carlo fields would be ignored, so a request that
+            // names one is refused rather than answered (and cached) as if
+            // it had not.
+            if let Some(key) = ["samples", "seed", "threads"]
+                .into_iter()
+                .find(|key| doc.get(key).is_some())
+            {
+                return Err(format!("\"{key}\" is meaningless with mode \"exhaustive\""));
+            }
+            SimMode::Exhaustive
+        } else {
+            SimMode::MonteCarlo {
                 samples: doc
                     .get("samples")
                     .map(|v| {
@@ -682,12 +697,6 @@ impl SimulateSpec {
                     })
                     .transpose()?
                     .map_or_else(sealpaa_sim::default_threads, |t| t as usize),
-            },
-            (None, false) => SimMode::Exhaustive,
-            (Some(other), _) => {
-                return Err(format!(
-                    "unknown mode {other:?} (expected exhaustive or monte_carlo)"
-                ))
             }
         };
         Ok(SimulateSpec { adder, mode })
@@ -1351,6 +1360,26 @@ mod tests {
             (
                 r#"{"kind":"simulate","width":2,"cell":"lpaa1","mode":"quantum"}"#,
                 "unknown mode",
+            ),
+            (
+                r#"{"kind":"simulate","width":4,"cell":"lpaa1","mode":"exhaustive","samples":10}"#,
+                "\"samples\" is meaningless with mode \"exhaustive\"",
+            ),
+            (
+                r#"{"kind":"simulate","width":4,"cell":"lpaa1","threads":3,"seed":9}"#,
+                "\"seed\" is meaningless with mode \"exhaustive\"",
+            ),
+            (
+                r#"{"kind":"simulate","width":4,"cell":"lpaa1","threads":3}"#,
+                "\"threads\" is meaningless with mode \"exhaustive\"",
+            ),
+            (
+                r#"{"kind":"simulate","width":4,"cell":"lpaa1","mode":"exhaustive","seed":9}"#,
+                "\"seed\" is meaningless with mode \"exhaustive\"",
+            ),
+            (
+                r#"{"kind":"simulate","width":4,"cell":"lpaa1","mode":"exhaustive","threads":2}"#,
+                "\"threads\" is meaningless with mode \"exhaustive\"",
             ),
             (r#"{"kind":"gear","n":8}"#, "\"r\""),
             (

@@ -31,6 +31,18 @@ if grep -rnE 'thread::(scope|available_parallelism)|available_parallelism\(' cra
     exit 1
 fi
 
+# One joint-carry transition: the exact analyses in sealpaa-core (exact,
+# magnitude, distribution, worst case) take every step of the joint
+# (approximate, accurate) carry chain from crates/core/src/joint.rs. A
+# truth-table evaluation from operand bits anywhere else in core fails here.
+echo
+echo "==> one joint-carry transition: no eval(FaInput::new( outside crates/core/src/joint.rs"
+if grep -rnF 'eval(FaInput::new(' crates/core/src |
+    grep -v '^crates/core/src/joint.rs:'; then
+    echo "ci: a joint-carry step outside crates/core/src/joint.rs" >&2
+    exit 1
+fi
+
 if [[ $quick -eq 0 ]]; then
     run cargo build --release
     # Examples are documentation that compiles: build them all in the same
@@ -104,6 +116,11 @@ done
 # analyses (bit-for-bit in Rational, exactly equal in f64) and thread-count
 # invariance of the design-space exploration.
 run cargo test -p sealpaa-core --test incremental -q
+
+# The joint-carry bit pins: every f64 output of the exact, moment, PMF and
+# signal analyses, and the worst-case extremes with their witnesses, over a
+# seeded battery of hybrid chains, folded into one FNV-1a digest.
+run cargo test -p sealpaa-core --test bit_pins -q
 
 # The design-space exploration differential suite: every prefix-sharing DSE
 # (hybrid, block, datapath) vs its naive reference scan at several thread
